@@ -31,7 +31,9 @@ from .ann import AnnIndex, AnnParams, brute_force_knn
 from .core import ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec
 from .embedding import EmbeddingTable
 from .gbdt import GbdtModel, GbdtParams, train_gbdt
-from .linear import LinearModel, decision, read_model, sigmoid, sparsify, train_l2svm, write_model
+from .linear import (
+    LinearModel, decision, read_exact, read_model, sigmoid, sparsify, train_l2svm, write_model,
+)
 
 __all__ = [
     "AgentError",
@@ -455,10 +457,12 @@ class EcRanker:
         index = AnnIndex.load(directory / "ranker_index.bin")
         classifiers: dict[int, LinearModel] = {}
         with open(directory / "ranker_classifiers.bin", "rb") as fh:
-            (count,) = struct.unpack("<I", fh.read(4))
+            (count,) = struct.unpack("<I", read_exact(fh, 4))
             for _ in range(count):
-                (label,) = struct.unpack("<I", fh.read(4))
+                (label,) = struct.unpack("<I", read_exact(fh, 4))
                 classifiers[label] = read_model(fh)
+            if fh.read(1):
+                raise AgentError("ranker classifiers: trailing bytes")
         return cls(
             label_dict=label_dict,
             classifiers=classifiers,

@@ -58,10 +58,10 @@ class AnnParams:
 
 def _distances(metric: str, matrix: np.ndarray, norms: np.ndarray, q: np.ndarray,
                q_norm: float, idxs: np.ndarray) -> np.ndarray:
-    rows = matrix[idxs]
+    rows = matrix[idxs]  # a gathered copy, so it may be overwritten
     if metric == "euclidean":
-        diff = rows - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        rows -= q
+        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
     return 1.0 - (rows @ q) / (norms[idxs] * q_norm)
 
 
@@ -77,7 +77,10 @@ def brute_force_knn(
     matrix = table.matrix(ids)
     q = np.asarray(query, dtype=np.float64)
     if metric == "euclidean":
-        diff = matrix - q
+        # The stacked matrix is a fresh copy: subtracting in place keeps one
+        # table-sized temporary per query instead of two.
+        diff = matrix.astype(np.float64, copy=False)
+        diff -= q
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     elif metric == "cosine":
         norms = np.linalg.norm(matrix, axis=1)

@@ -5,10 +5,20 @@ Two trainers share one model type.  The squared-hinge SVM minimizes
 descent on its dual, visiting examples in a seeded random permutation
 each sweep and shrinking coordinates that sit firmly at their bound;
 that dual view is what makes training on a few hundred examples per
-label cheap enough to run thousands of times.  The logistic trainer is
-plain gradient descent with a backtracking line search.  Both handle
-the intercept through an appended constant feature, so the bias is
-regularized like any other weight.
+label cheap enough to run thousands of times.
+
+The SVM picks its representation by shape.  With no more examples than
+augmented features (``n <= d + 1``, the one-hot ranker's case) it keeps
+the margins ``Xa @ w`` through the n-by-n Gram matrix ``K = Xa Xa^T``: a
+coordinate reads its margin in O(1), an update adds
+``delta * y_i * K[i]`` in O(n), and ``w = Xa^T (alpha * y)`` is formed
+once at the end.  Otherwise it updates ``w`` directly at O(d) per step.
+Both run in one loop with the same permutation, shrinking and stopping
+rule, so they take the same steps up to rounding.
+
+The logistic trainer is plain gradient descent with a backtracking line
+search.  Both trainers handle the intercept through an appended constant
+feature, so the bias is regularized like any other weight.
 
 Models store only non-zero weights.  ``sparsify`` drops entries below a
 magnitude floor (bias untouched) and is idempotent.
@@ -25,6 +35,11 @@ import numpy as np
 _MAGIC = b"ECLIN1\n"
 _VERSION = 1
 _KINDS = ("l2svm", "logistic")
+_HEAD = "<BIdIIBdd"
+
+
+class LinearFormatError(ValueError):
+    """A serialized linear model is truncated, padded or malformed."""
 
 
 @dataclass(frozen=True)
@@ -158,15 +173,26 @@ def train_l2svm(
     X, y = _check_training_input(positives, negatives)
     n, d = X.shape
     Xa = np.ascontiguousarray(np.hstack([X, np.ones((n, 1))]))
-    rows = [Xa[i] for i in range(n)]
     diag = 0.5 / C
-    qii = np.einsum("ij,ij->i", Xa, Xa) + diag
+    # Few examples: track the margins Xa @ w through the Gram matrix (see
+    # the module docstring); otherwise track w itself.  On the Gram side K
+    # is never larger than Xa and an O(n) step never dearer than O(d).
+    gram = n <= d + 1
+    if gram:
+        K = Xa @ Xa.T
+        qii = np.diag(K) + diag
+        steps = list(K)
+        state = np.zeros(n)  # margins
+    else:
+        qii = np.einsum("ij,ij->i", Xa, Xa) + diag
+        steps = list(Xa)
+        state = np.zeros(d + 1)  # w
     alpha = np.zeros(n)
-    w = np.zeros(d + 1)
     rng = np.random.default_rng(seed)
 
     def dual_objective() -> float:
-        return 0.5 * float(w @ w) + diag * 0.5 * float(alpha @ alpha) - float(alpha.sum())
+        wtw = float((alpha * y) @ state) if gram else float(state @ state)
+        return 0.5 * wtw + diag * 0.5 * float(alpha @ alpha) - float(alpha.sum())
 
     active = list(range(n))
     pg_max_old, pg_min_old = np.inf, -np.inf
@@ -180,7 +206,7 @@ def train_l2svm(
         while i < len(active):
             idx = active[i]
             yi = y[idx]
-            g = yi * float(rows[idx] @ w) - 1.0 + diag * alpha[idx]
+            g = yi * float(state[idx] if gram else steps[idx] @ state) - 1.0 + diag * alpha[idx]
             pg = g
             if alpha[idx] == 0.0:
                 if g > pg_max_old:
@@ -197,7 +223,7 @@ def train_l2svm(
                 new = max(old - g / qii[idx], 0.0)
                 alpha[idx] = new
                 if new != old:
-                    w += (new - old) * yi * rows[idx]
+                    state += (new - old) * yi * steps[idx]
             i += 1
         sweeps += 1
         curve.append(dual_objective())
@@ -212,6 +238,7 @@ def train_l2svm(
         pg_max_old = pg_max_new if pg_max_new > 0 else np.inf
         pg_min_old = pg_min_new if pg_min_new < 0 else -np.inf
 
+    w = Xa.T @ (alpha * y) if gram else state
     meta = TrainMeta(
         iterations=sweeps,
         converged=converged,
@@ -284,7 +311,7 @@ def train_logistic(
 def write_model(fh, model: LinearModel) -> None:
     fh.write(
         struct.pack(
-            "<BIdIIBdd",
+            _HEAD,
             _KINDS.index(model.kind),
             model.dim,
             model.bias,
@@ -301,15 +328,24 @@ def write_model(fh, model: LinearModel) -> None:
     fh.write(np.asarray(model.values, dtype="<f8").tobytes())
 
 
+def read_exact(fh, size: int) -> bytes:
+    """Read exactly ``size`` bytes or raise :class:`LinearFormatError`."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise LinearFormatError(f"truncated: wanted {size} bytes, got {len(data)}")
+    return data
+
+
 def read_model(fh) -> LinearModel:
-    head = fh.read(struct.calcsize("<BIdIIBdd"))
     kind_code, dim, bias, nnz, iterations, converged, primal, reg = struct.unpack(
-        "<BIdIIBdd", head
+        _HEAD, read_exact(fh, struct.calcsize(_HEAD))
     )
-    (curve_len,) = struct.unpack("<I", fh.read(4))
-    curve = np.frombuffer(fh.read(8 * curve_len), dtype="<f8")
-    indices = np.frombuffer(fh.read(4 * nnz), dtype="<i4").copy()
-    values = np.frombuffer(fh.read(8 * nnz), dtype="<f8").copy()
+    if kind_code >= len(_KINDS):
+        raise LinearFormatError(f"unknown model kind code {kind_code}")
+    (curve_len,) = struct.unpack("<I", read_exact(fh, 4))
+    curve = np.frombuffer(read_exact(fh, 8 * curve_len), dtype="<f8")
+    indices = np.frombuffer(read_exact(fh, 4 * nnz), dtype="<i4").copy()
+    values = np.frombuffer(read_exact(fh, 8 * nnz), dtype="<f8").copy()
     meta = TrainMeta(
         iterations=iterations,
         converged=bool(converged),
@@ -333,11 +369,11 @@ def save_linear(model: LinearModel, path: str | Path) -> None:
 def load_linear(path: str | Path) -> LinearModel:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a linear-model container")
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise LinearFormatError(f"{path}: not a linear-model container")
+        (version,) = struct.unpack("<I", read_exact(fh, 4))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+            raise LinearFormatError(f"{path}: unsupported container version {version}")
         model = read_model(fh)
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes")
+            raise LinearFormatError(f"{path}: trailing bytes")
     return model

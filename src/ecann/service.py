@@ -249,6 +249,9 @@ class AnnotationService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on kept-alive connections.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnnotationService:
@@ -273,7 +276,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/jobs":
             self._send_json(404, {"error": "unknown endpoint"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # The body's extent is unknown: answer without reading it and
+            # close, so leftover bytes are never parsed as a request.
+            self.close_connection = True
+            self._send_json(400, {"error": "bad Content-Length"})
+            return
+        length = int(raw_length)
         body = self.rfile.read(length) if length else b""
         job = self.service.submit(body)
         self._send_json(202, {"job_id": job.job_id})

@@ -27,7 +27,7 @@ from ecann.core import (
 )
 from ecann.embedding import EmbeddingTable
 from ecann.gbdt import GbdtParams
-from ecann.linear import decision
+from ecann.linear import LinearFormatError, decision
 
 DAY = dt.date(2015, 6, 1)
 
@@ -371,6 +371,22 @@ class TestEcRanker:
         for _ in range(20):
             q = rng.normal(size=6) * 2.0
             assert again.rank(q) == ranker.rank(q)
+
+    def test_every_truncated_classifier_file_is_a_named_error(self, tmp_path):
+        records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
+        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
+        path = tmp_path / "ranker_classifiers.bin"
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(LinearFormatError, match="truncated"):
+                EcRanker.load(tmp_path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(AgentError, match="trailing"):
+            EcRanker.load(tmp_path)
+        path.write_bytes(blob)
+        assert set(EcRanker.load(tmp_path).classifiers) == {0, 1}
 
     def test_training_is_deterministic(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.2.2.2", 8)])

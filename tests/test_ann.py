@@ -43,6 +43,24 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="zero"):
             brute_force_knn(table, np.ones(2), 1, metric="cosine")
 
+    @pytest.mark.parametrize("n,dtype", [(1, np.float64), (7, np.float64), (7, np.float32)])
+    def test_euclidean_is_exact_and_leaves_the_table_alone(self, n, dtype):
+        # The distances are computed in place on the stacked copy: they must
+        # equal the plain two-temporary formula bit for bit, and never write
+        # through to the table's vectors.
+        rng = np.random.default_rng(n)
+        vectors = {f"P{i}": rng.normal(size=5).astype(dtype) for i in range(n)}
+        before = {rid: vec.copy() for rid, vec in vectors.items()}
+        table = EmbeddingTable(tag="t", dim=5, vectors=vectors)
+        q = rng.normal(size=5)
+        ids = table.ids()
+        diff = table.matrix(ids) - q
+        want = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        got = dict(brute_force_knn(table, q, k=n))
+        assert [got[rid] for rid in ids] == want.tolist()
+        for rid, vec in vectors.items():
+            assert vec.dtype == dtype and np.array_equal(vec, before[rid])
+
 
 class TestAnnParams:
     def test_defaults(self):
@@ -71,10 +89,13 @@ class TestBuildAndSearch:
         table = make_table(40, 8, seed=1)
         index = AnnIndex.build(table, AnnParams(m=8, ef_construction=40, ef_search=40, seed=0))
         index.validate()
+        stored = index._matrix.copy()
         rng = np.random.default_rng(2)
         for _ in range(10):
             q = rng.normal(size=8)
             assert index.search(q, 5) == brute_force_knn(table, q, 5)
+        # distances subtract in place on gathered rows, never on the index
+        assert np.array_equal(index._matrix, stored)
 
     def test_deterministic_for_fixed_seed(self):
         table = make_table(120, 6, seed=3)

@@ -15,6 +15,7 @@ from ecann.gbdt import (
     save_gbdt,
     train_gbdt,
 )
+from ecann.gbdt import _build_tree
 
 
 def _blobs(seed: int, n_per: int = 20, spread: float = 0.3):
@@ -166,6 +167,56 @@ class TestTraining:
         model = train_gbdt(x, y, GbdtParams(n_estimators=2, subsample=0.4,
                                             min_child_weight=0.0))
         assert len(model.trees) == 2
+
+
+class TestConstantColumnPruning:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_interleaved_constant_columns_leave_trees_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 30, 6
+        # Binary columns with a duplicate pair: equal gains exercise the
+        # lower-feature-index tie-break through the column map.
+        varying = rng.integers(0, 2, size=(n, m)).astype(float)
+        varying[:, 3] = varying[:, 1]
+        varying[0, :] = 0.0
+        varying[1, :] = 1.0  # every column varies
+        y = (varying[:, 1] + varying[:, 4] + rng.integers(0, 2, size=n)).astype(int)
+        width = m + 9
+        where = np.sort(rng.choice(width, size=m, replace=False))
+        wide = np.repeat(rng.normal(size=(1, width)), n, axis=0)
+        wide[:, where] = varying
+        params = GbdtParams(n_estimators=4, max_depth=3, min_child_weight=0.5,
+                            subsample=0.7, seed=seed)
+        narrow_model = train_gbdt(varying, y, params, n_classes=4)
+        wide_model = train_gbdt(wide, y, params, n_classes=4)
+        assert wide_model.train_error_curve == narrow_model.train_error_curve
+        for wide_round, narrow_round in zip(wide_model.trees, narrow_model.trees):
+            for w_tree, n_tree in zip(wide_round, narrow_round):
+                assert w_tree.feature == [int(where[f]) if f >= 0 else -1
+                                          for f in n_tree.feature]
+                assert w_tree.threshold == n_tree.threshold
+                assert (w_tree.left, w_tree.right) == (n_tree.left, n_tree.right)
+                assert w_tree.value == n_tree.value
+        np.testing.assert_array_equal(wide_model.predict_margins(wide),
+                                      narrow_model.predict_margins(varying))
+        # First-round oracle: unpruned `_build_tree` on the wide matrix, with
+        # every row and the uniform-softmax gradients that round starts from.
+        full = GbdtParams(n_estimators=1, max_depth=3, min_child_weight=0.5,
+                          subsample=1.0)
+        first = train_gbdt(wide, y, full, n_classes=4).trees[0]
+        for cls, tree in enumerate(first):
+            grad = 0.25 - (y == cls)
+            hess = np.full(n, 0.25 * 0.75)
+            oracle = _build_tree(wide, grad, hess, np.arange(n), full)
+            assert tree == oracle
+
+    def test_all_constant_columns_give_stumps(self):
+        x = np.tile([[2.0, -1.0, 0.0]], (12, 1))
+        y = np.array([0, 1, 2] * 4)
+        model = train_gbdt(x, y, GbdtParams(n_estimators=3, min_child_weight=0.0,
+                                            subsample=1.0))
+        assert all(tree.is_stump() for round_trees in model.trees for tree in round_trees)
 
 
 class TestValidation:

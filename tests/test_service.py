@@ -1,5 +1,6 @@
 """HTTP job service tests: lifecycle, persistence, concurrency, parity."""
 
+import http.client
 import json
 import threading
 import time
@@ -188,6 +189,36 @@ class TestHttpLifecycle:
         assert record["state"] == FAILED
         assert "header" in record["error"]
         assert _get(server, f"/jobs/{payload['job_id']}/result")[0] == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "-5"])
+    def test_bad_content_length_is_400_without_a_job(self, server, service, length):
+        conn = http.client.HTTPConnection(server.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        assert service.store.job_ids() == []
+        assert _get(server, "/healthz")[0] == 200  # the server is still serving
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        conn = http.client.HTTPConnection(server.removeprefix("http://"), timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        # Without TCP_NODELAY each response waits ~40 ms for a delayed ACK.
+        assert elapsed < 0.4
 
     def test_empty_body_yields_header_only_result(self, server):
         _, payload = _post(server, "/jobs", b"")
