@@ -28,11 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ann import AnnIndex, AnnParams, brute_force_knn
-from .core import ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec
+from .core import ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec, read_struct
 from .embedding import EmbeddingTable
 from .gbdt import GbdtModel, GbdtParams, train_gbdt
 from .linear import (
-    LinearModel, decision, read_exact, read_model, sigmoid, sparsify, train_l2svm, write_model,
+    LinearFormatError, LinearModel, decision, read_model, sigmoid, sparsify, train_l2svm,
+    write_model,
 )
 
 __all__ = [
@@ -224,6 +225,8 @@ class FunctionCountModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FunctionCountModel":
+        if not isinstance(payload, dict):
+            raise AgentError("function-count payload must be a JSON object")
         if payload.get("format") != "function-count-pair" or payload.get("version") != 1:
             raise AgentError("unrecognized function-count payload")
         return cls(
@@ -441,6 +444,8 @@ class EcRanker:
     def load(cls, directory: str | Path) -> "EcRanker":
         directory = Path(directory)
         meta = json.loads((directory / "ranker_meta.json").read_text(encoding="ascii"))
+        if not isinstance(meta, dict):
+            raise AgentError("EC-ranker payload must be a JSON object")
         if meta.get("format") != "ec-ranker" or meta.get("version") != 1:
             raise AgentError("unrecognized EC-ranker payload")
         raw = meta["params"]
@@ -457,9 +462,9 @@ class EcRanker:
         index = AnnIndex.load(directory / "ranker_index.bin")
         classifiers: dict[int, LinearModel] = {}
         with open(directory / "ranker_classifiers.bin", "rb") as fh:
-            (count,) = struct.unpack("<I", read_exact(fh, 4))
+            (count,) = read_struct(fh, "<I", LinearFormatError)
             for _ in range(count):
-                (label,) = struct.unpack("<I", read_exact(fh, 4))
+                (label,) = read_struct(fh, "<I", LinearFormatError)
                 classifiers[label] = read_model(fh)
             if fh.read(1):
                 raise AgentError("ranker classifiers: trailing bytes")

@@ -20,11 +20,11 @@ path stays inside the band they agree exactly, not just on score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ECNumber, ProteinRecord, parse_ec_list
+from .core import ECNumber, ProteinRecord
 
 __all__ = [
     "AlignmentError",
@@ -34,14 +34,13 @@ __all__ = [
     "KmerIndex",
     "banded_local_align",
     "full_local_align",
-    "load_tabular_hits",
 ]
 
 _NEG = -(1 << 40)  # forbidden-cell sentinel; far below any reachable score
 
 
 class AlignmentError(ValueError):
-    """Invalid aligner parameters or malformed external alignment rows."""
+    """Invalid aligner parameters or a duplicate reference sequence id."""
 
 
 @dataclass(frozen=True)
@@ -368,67 +367,3 @@ class KmerIndex:
             )
         hits.sort(key=_hit_rank_key)
         return hits
-
-    def align_best(self, query: str) -> Optional[Hit]:
-        """Top hit, or None when nothing reaches ``min_identity``."""
-        hits = self.align_all(query)
-        if hits and hits[0].identity >= self.params.min_identity:
-            return hits[0]
-        return None
-
-
-_TABULAR_COLUMNS = 12  # query, subject, %identity, length, mismatches, gap opens,
-#                        q.start, q.end, s.start, s.end, e-value, bit score
-
-
-def load_tabular_hits(
-    path,
-    labels_by_id: Mapping[str, Sequence[ECNumber]] | Mapping[str, str],
-) -> dict[str, list[Hit]]:
-    """Adapt 12-column tabular output of an external aligner into ranked hits.
-
-    ``labels_by_id`` maps subject ids to their EC labels (either parsed tuples
-    or the semicolon-delimited text form).  Unknown subject ids are an error:
-    silently dropping them would hide a mismatched reference set.
-    """
-    per_query: dict[str, list[Hit]] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != _TABULAR_COLUMNS:
-                raise AlignmentError(
-                    f"expected {_TABULAR_COLUMNS} tab-separated columns, got "
-                    f"{len(fields)} at line {line_no}"
-                )
-            query_id, subject_id = fields[0], fields[1]
-            try:
-                pident = float(fields[2])
-                length = int(fields[3])
-                bitscore = float(fields[11])
-            except ValueError as exc:
-                raise AlignmentError(f"bad numeric field at line {line_no}: {exc}") from exc
-            if not 0.0 <= pident <= 100.0:
-                raise AlignmentError(f"identity {pident} out of range at line {line_no}")
-            if length <= 0:
-                raise AlignmentError(f"alignment length {length} invalid at line {line_no}")
-            if subject_id not in labels_by_id:
-                raise AlignmentError(f"unknown subject id {subject_id!r} at line {line_no}")
-            labels = labels_by_id[subject_id]
-            parsed = parse_ec_list(labels) if isinstance(labels, str) else tuple(labels)
-            identity = pident / 100.0
-            per_query.setdefault(query_id, []).append(
-                Hit(
-                    id=subject_id,
-                    identity=identity,
-                    score=bitscore,
-                    columns=length,
-                    matches=round(identity * length),
-                    labels=parsed,
-                )
-            )
-    for hits in per_query.values():
-        hits.sort(key=_hit_rank_key)
-    return per_query

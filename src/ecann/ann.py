@@ -19,17 +19,22 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import read_exact, read_struct
 from .embedding import EmbeddingTable
 
 _MAGIC = b"ECANN1\n"
 _VERSION = 1
 _METRICS = ("euclidean", "cosine")
+
+
+class AnnFormatError(ValueError):
+    """A saved index is truncated, padded or fails its graph invariants."""
 
 
 @dataclass(frozen=True)
@@ -323,38 +328,46 @@ class AnnIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "AnnIndex":
-        with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise ValueError(f"{path}: not an index container")
-            version, metric_code, m, ef_c, ef_s, seed = struct.unpack("<IBIIIQ", fh.read(25))
-            if version != _VERSION:
-                raise ValueError(f"{path}: unsupported container version {version}")
-            params = AnnParams(
-                m=m, ef_construction=ef_c, ef_search=ef_s,
-                metric=_METRICS[metric_code], seed=seed,
-            )
-            count, dim, entry, top_level = struct.unpack("<QIqi", fh.read(24))
-            index = cls(params, dim)
-            for _ in range(count):
-                (id_len,) = struct.unpack("<H", fh.read(2))
-                index.ids.append(fh.read(id_len).decode("utf-8"))
-            index.levels = list(
-                np.frombuffer(fh.read(4 * count), dtype="<u4").astype(int)
-            )
-            raw = fh.read(8 * count * dim)
-            if len(raw) != 8 * count * dim:
-                raise ValueError(f"{path}: truncated vector block")
-            index._matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).copy()
-            index._norms = np.linalg.norm(index._matrix, axis=1)
-            for node in range(count):
-                layers: list[list[int]] = []
-                for _ in range(index.levels[node] + 1):
-                    (degree,) = struct.unpack("<I", fh.read(4))
-                    links = np.frombuffer(fh.read(4 * degree), dtype="<u4")
-                    layers.append([int(x) for x in links])
-                index.graph.append(layers)
-            index.entry, index.top_level = entry, top_level
-            if fh.read(1):
-                raise ValueError(f"{path}: trailing bytes")
-        index.validate()
+        """Read a saved index; any damage raises :class:`AnnFormatError`."""
+        try:
+            with open(path, "rb") as fh:
+                index = cls._read(fh)
+            index.validate()
+        except (AssertionError, UnicodeDecodeError, ValueError) as exc:
+            raise AnnFormatError(f"{path}: {exc}") from exc
+        return index
+
+    @classmethod
+    def _read(cls, fh) -> "AnnIndex":
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise AnnFormatError("not an index container")
+        version, metric_code, m, ef_c, ef_s, seed = read_struct(fh, "<IBIIIQ", AnnFormatError)
+        if version != _VERSION:
+            raise AnnFormatError(f"unsupported container version {version}")
+        if metric_code >= len(_METRICS):
+            raise AnnFormatError(f"unknown metric code {metric_code}")
+        params = AnnParams(
+            m=m, ef_construction=ef_c, ef_search=ef_s,
+            metric=_METRICS[metric_code], seed=seed,
+        )
+        count, dim, entry, top_level = read_struct(fh, "<QIqi", AnnFormatError)
+        index = cls(params, dim)
+        for _ in range(count):
+            (id_len,) = read_struct(fh, "<H", AnnFormatError)
+            index.ids.append(read_exact(fh, id_len, AnnFormatError).decode("utf-8"))
+        raw = read_exact(fh, 4 * count, AnnFormatError)
+        index.levels = list(np.frombuffer(raw, dtype="<u4").astype(int))
+        raw = read_exact(fh, 8 * count * dim, AnnFormatError)
+        index._matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).copy()
+        index._norms = np.linalg.norm(index._matrix, axis=1)
+        for node in range(count):
+            layers: list[list[int]] = []
+            for _ in range(index.levels[node] + 1):
+                (degree,) = read_struct(fh, "<I", AnnFormatError)
+                links = np.frombuffer(read_exact(fh, 4 * degree, AnnFormatError), dtype="<u4")
+                layers.append([int(x) for x in links])
+            index.graph.append(layers)
+        index.entry, index.top_level = entry, top_level
+        if fh.read(1):
+            raise AnnFormatError("trailing bytes")
         return index

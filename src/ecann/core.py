@@ -6,8 +6,10 @@ as dictionary keys.
 """
 from __future__ import annotations
 
+import io
 import logging
 import re
+import struct
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -313,3 +315,35 @@ class LabelDictionary:
 def build_label_dictionary(records: Iterable[ProteinRecord]) -> LabelDictionary:
     """Collect every EC (complete or not) from the records into a dictionary."""
     return LabelDictionary(ec for rec in records for ec in rec.ecs)
+
+
+# --------------------------------------------------------------------------
+# Binary container reads
+
+
+# A read allocates its full size up front, so larger reads are first checked
+# against the bytes left; below this, measuring costs more than it saves.
+_MEASURED_READ = 1 << 20
+
+
+def read_exact(fh, size: int, error: type[ValueError]) -> bytes:
+    """Read exactly ``size`` bytes from a seekable binary stream or raise ``error``.
+
+    Sizes over 1 MiB are checked against the bytes left before reading, so a
+    corrupt length field cannot allocate more than that.
+    """
+    if size > _MEASURED_READ:
+        pos = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - pos
+        fh.seek(pos)
+        if size > left:
+            raise error(f"truncated: wanted {size} bytes, {left} left")
+    data = fh.read(size)
+    if len(data) != size:
+        raise error(f"truncated: wanted {size} bytes, got {len(data)}")
+    return data
+
+
+def read_struct(fh, fmt: str, error: type[ValueError]) -> tuple:
+    """Unpack one ``struct`` record read through :func:`read_exact`."""
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), error))

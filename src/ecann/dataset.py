@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     ECParseError,
@@ -26,7 +26,6 @@ from .core import (
     ProteinRecord,
     Task,
     build_label_dictionary,
-    format_ec,
     format_ec_list,
     normalize_sequence,
     parse_ec_list,
@@ -376,57 +375,6 @@ def validation_split(
         return tuple(ordered), ()
     n_val = min(n - 1, max(1, int(n * fraction)))
     return tuple(ordered[: n - n_val]), tuple(ordered[n - n_val :])
-
-
-# --------------------------------------------------------------------------
-# Snapshot comparison
-
-
-@dataclass(frozen=True)
-class DiffRow:
-    in_earlier: int
-    in_later: int
-    added: int
-    removed: int
-
-
-@dataclass(frozen=True)
-class SnapshotDiff:
-    """Growth/shrinkage between two snapshots, keyed by sequence identity
-    for record rows and by canonical EC text for the distinct-EC row."""
-
-    rows: dict[str, DiffRow]
-
-    def to_tsv(self) -> str:
-        lines = ["item\tin_earlier\tin_later\tadded\tremoved"]
-        for name, row in self.rows.items():
-            lines.append(
-                f"{name}\t{row.in_earlier}\t{row.in_later}\t{row.added}\t{row.removed}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def snapshot_diff(earlier: Snapshot, later: Snapshot) -> SnapshotDiff:
-    def seq_row(a: Iterable[ProteinRecord], b: Iterable[ProteinRecord]) -> DiffRow:
-        sa = {rec.seq for rec in a}
-        sb = {rec.seq for rec in b}
-        return DiffRow(len(sa), len(sb), len(sb - sa), len(sa - sb))
-
-    ec_a = {format_ec(ec) for rec in earlier.records for ec in rec.ecs}
-    ec_b = {format_ec(ec) for rec in later.records for ec in rec.ecs}
-    rows = {
-        "records": seq_row(earlier.records, later.records),
-        "enzyme": seq_row(
-            (r for r in earlier.records if r.is_enzyme),
-            (r for r in later.records if r.is_enzyme),
-        ),
-        "non_enzyme": seq_row(
-            (r for r in earlier.records if not r.is_enzyme),
-            (r for r in later.records if not r.is_enzyme),
-        ),
-        "distinct_ec": DiffRow(len(ec_a), len(ec_b), len(ec_b - ec_a), len(ec_a - ec_b)),
-    }
-    return SnapshotDiff(rows=rows)
 
 
 def function_count_partition(records: Sequence[ProteinRecord]) -> dict[int, int]:

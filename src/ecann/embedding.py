@@ -1,23 +1,20 @@
-"""Sequence embedding tables: one-hot encoding, table I/O, and selection.
+"""Sequence embedding tables: one-hot encoding and table I/O.
 
 Tables produced by external embedding models (per-residue encoders
 mean-pooled to a fixed width, etc.) are loaded from disk and treated as
 opaque id -> vector maps; the only embedding computed in-process is the
-positional one-hot.  Selection trains one cheap baseline classifier per
-candidate table and keeps the table with the best validation F1, so the
-choice is driven by task signal rather than by embedding lore.
+positional one-hot.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import AA_INDEX, AMINO_ACIDS, ProteinRecord, Task
-from .metrics import ConfusionCounts, binary_metrics, macro_metrics
+from .core import AA_INDEX, AMINO_ACIDS, ProteinRecord, read_exact, read_struct
 
 DEFAULT_MAX_LEN = 1000
 ONE_HOT_TAG = "one-hot"
@@ -130,17 +127,16 @@ def _load_binary_table(path: Path) -> EmbeddingTable:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise EmbeddingError(f"{path}: not an embedding table container")
-        version, tag_len, dim, count, id_width = struct.unpack("<IHIQH", fh.read(20))
+        version, tag_len, dim, count, id_width = read_struct(fh, "<IHIQH", EmbeddingError)
         if version != _VERSION:
             raise EmbeddingError(f"{path}: unsupported container version {version}")
-        tag = fh.read(tag_len).decode("utf-8")
+        if dim == 0:
+            raise EmbeddingError(f"{path}: dim must be positive")
+        tag = read_exact(fh, tag_len, EmbeddingError).decode("utf-8")
         vectors: dict[str, np.ndarray] = {}
-        row_bytes = dim * 8
         for _ in range(count):
-            rec_id = fh.read(id_width).rstrip(b"\0").decode("utf-8")
-            raw = fh.read(row_bytes)
-            if len(raw) != row_bytes:
-                raise EmbeddingError(f"{path}: truncated container")
+            rec_id = read_exact(fh, id_width, EmbeddingError).rstrip(b"\0").decode("utf-8")
+            raw = read_exact(fh, dim * 8, EmbeddingError)
             vectors[rec_id] = np.frombuffer(raw, dtype="<f8").copy()
         if fh.read(1):
             raise EmbeddingError(f"{path}: trailing bytes after {count} rows")
@@ -191,134 +187,3 @@ def load_embedding_table(path: str | Path, tag: Optional[str] = None) -> Embeddi
             table = EmbeddingTable(tag=tag, dim=table.dim, vectors=table.vectors)
         return table
     return _load_tsv_table(path, tag or path.stem)
-
-
-# --------------------------------------------------------------------------
-# Embedding selection
-
-
-class BaselineLearner(Protocol):
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None: ...
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
-
-
-class KnnBaseline:
-    """Exact distance-weighted k-nearest-neighbour classifier."""
-
-    def __init__(self, n_neighbors: int = 5):
-        self.n_neighbors = n_neighbors
-        self._X: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._X = np.asarray(X, dtype=np.float64)
-        self._y = np.asarray(y)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        assert self._X is not None and self._y is not None, "fit before predict"
-        k = min(self.n_neighbors, len(self._X))
-        out = np.empty(len(X), dtype=self._y.dtype)
-        for i, x in enumerate(np.asarray(X, dtype=np.float64)):
-            d = np.sqrt(np.sum((self._X - x) ** 2, axis=1))
-            order = np.lexsort((np.arange(len(d)), d))[:k]
-            nd, ny = d[order], self._y[order]
-            if np.any(nd == 0.0):
-                ny = ny[nd == 0.0]
-                weights = np.ones(len(ny))
-            else:
-                weights = 1.0 / nd
-            votes: dict[object, float] = {}
-            for label, w in zip(ny, weights):
-                votes[label] = votes.get(label, 0.0) + float(w)
-            best = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-            out[i] = best
-        return out
-
-
-def _task_labels(records: Sequence[ProteinRecord], task: Task) -> np.ndarray:
-    if task is Task.ENZYME:
-        return np.array([int(rec.is_enzyme) for rec in records])
-    if task is Task.FUNCTION_COUNT:
-        return np.array([rec.function_count for rec in records])
-    # EC task: multiclass over the first (lexicographically smallest) EC.
-    from .core import build_label_dictionary, format_ec
-
-    label_dict = build_label_dictionary(records)
-    labels = []
-    for rec in records:
-        if not rec.ecs:
-            raise EmbeddingError(f"record {rec.id}: EC task needs enzyme records")
-        first = min(rec.ecs, key=format_ec)
-        labels.append(label_dict.label_of(first))
-    return np.array(labels)
-
-
-def _f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    classes = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
-    per_class = {}
-    for cls in classes:
-        tp = int(np.sum((y_pred == cls) & (y_true == cls)))
-        fp = int(np.sum((y_pred == cls) & (y_true != cls)))
-        fn = int(np.sum((y_pred != cls) & (y_true == cls)))
-        tn = len(y_true) - tp - fp - fn
-        per_class[str(cls)] = ConfusionCounts(tp, fp, tn, fn)
-    if len(classes) == 2 and set(classes) == {0, 1}:
-        f1 = binary_metrics(per_class["1"]).f1
-        return 0.0 if f1 is None else f1
-    macro = macro_metrics(per_class)
-    return 0.0 if macro.m_f1_perclass is None else macro.m_f1_perclass
-
-
-@dataclass(frozen=True)
-class ScoreRow:
-    tag: str
-    dim: int
-    score: float
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    winner: str
-    scoreboard: tuple[ScoreRow, ...]
-
-
-def select_embedding(
-    tables: Sequence[EmbeddingTable],
-    task: Task,
-    train_records: Sequence[ProteinRecord],
-    val_records: Sequence[ProteinRecord],
-    learner_factory=None,
-) -> SelectionResult:
-    """Pick the table whose baseline classifier scores best on validation.
-
-    Every train and validation id must be present in every candidate
-    table.  Binary tasks are scored with plain F1, multiclass tasks
-    with the per-class macro average.  Ties go to the smaller dimension
-    and then to input order.
-    """
-    if not tables:
-        raise EmbeddingError("no candidate tables")
-    if not train_records or not val_records:
-        raise EmbeddingError("selection needs non-empty train and validation records")
-    if learner_factory is None:
-        learner_factory = lambda: KnnBaseline(n_neighbors=5)
-    y_train = _task_labels(train_records, task)
-    y_val = _task_labels(val_records, task)
-    rows: list[ScoreRow] = []
-    for table in tables:
-        for rec in list(train_records) + list(val_records):
-            if rec.id not in table:
-                raise EmbeddingError(f"id {rec.id!r} missing from table {table.tag!r}")
-        X_train = table.matrix([rec.id for rec in train_records])
-        X_val = table.matrix([rec.id for rec in val_records])
-        learner = learner_factory()
-        learner.fit(X_train, y_train)
-        rows.append(ScoreRow(table.tag, table.dim, _f1_score(y_val, learner.predict(X_val))))
-    best_idx = 0
-    for i, row in enumerate(rows[1:], start=1):
-        best = rows[best_idx]
-        if (row.score, -row.dim) > (best.score, -best.dim):
-            best_idx = i
-    winner = rows[best_idx]
-    assert all(winner.score >= row.score for row in rows)
-    return SelectionResult(winner=winner.tag, scoreboard=tuple(rows))

@@ -25,7 +25,6 @@ tie-break, and therefore every tree, unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,8 +36,6 @@ __all__ = [
     "Tree",
     "GbdtModel",
     "train_gbdt",
-    "save_gbdt",
-    "load_gbdt",
 ]
 
 _FORMAT = "gbdt-softmax"
@@ -119,19 +116,6 @@ class Tree:
             go_left = x[pending, feature[cur]] < threshold[cur]
             node[pending] = np.where(go_left, left[cur], right[cur])
         return value[node]
-
-    def dump_text(self) -> str:
-        """One line per node; stable across platforms for a fixed tree."""
-        lines = []
-        for i in range(self.n_nodes):
-            if self.feature[i] < 0:
-                lines.append(f"{i}:leaf={self.value[i]!r}")
-            else:
-                lines.append(
-                    f"{i}:[f{self.feature[i]}<{self.threshold[i]!r}]"
-                    f" left={self.left[i]} right={self.right[i]}"
-                )
-        return "\n".join(lines)
 
 
 def _best_split(
@@ -302,6 +286,8 @@ class GbdtModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GbdtModel":
+        if not isinstance(payload, dict):
+            raise GbdtError("model payload must be a JSON object")
         if payload.get("format") != _FORMAT:
             raise GbdtError(f"unrecognized payload format {payload.get('format')!r}")
         if payload.get("version") != _VERSION:
@@ -400,18 +386,3 @@ def train_gbdt(
         trees=trees,
         train_error_curve=tuple(curve),
     )
-
-
-def save_gbdt(model: GbdtModel, path) -> None:
-    """Write the model as canonical JSON (sorted keys, fixed separators)."""
-    blob = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(blob)
-
-
-def load_gbdt(path) -> GbdtModel:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise GbdtError("model payload must be a JSON object")
-    return GbdtModel.from_dict(payload)

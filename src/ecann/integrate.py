@@ -160,19 +160,6 @@ def integrate(
     )
 
 
-def integrate_all(
-    outputs_by_id: Mapping[str, AgentOutputs],
-    hits_by_id: Mapping[str, Optional[Hit]],
-    policy: IntegrationPolicy,
-    mode: RankingMode = RankingMode.PREDICTION,
-) -> list[Prediction]:
-    """Resolve every query id in sorted order under one policy."""
-    return [
-        integrate(qid, outputs_by_id[qid], hits_by_id.get(qid), policy, mode)
-        for qid in sorted(outputs_by_id)
-    ]
-
-
 # --------------------------------------------------------------------------
 # Policy tuning
 

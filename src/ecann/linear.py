@@ -1,11 +1,10 @@
-"""Sparse linear classifiers trained in-process.
+"""Sparse squared-hinge SVM classifiers trained in-process.
 
-Two trainers share one model type.  The squared-hinge SVM minimizes
-``0.5*||w||^2 + C * sum(max(0, 1 - y_i w.x_i)^2)`` through coordinate
-descent on its dual, visiting examples in a seeded random permutation
-each sweep and shrinking coordinates that sit firmly at their bound;
-that dual view is what makes training on a few hundred examples per
-label cheap enough to run thousands of times.
+The SVM minimizes ``0.5*||w||^2 + C * sum(max(0, 1 - y_i w.x_i)^2)``
+through coordinate descent on its dual, visiting examples in a seeded
+random permutation each sweep and shrinking coordinates that sit firmly
+at their bound; that dual view is what makes training on a few hundred
+examples per label cheap enough to run thousands of times.
 
 The SVM picks its representation by shape.  With no more examples than
 augmented features (``n <= d + 1``, the one-hot ranker's case) it keeps
@@ -16,25 +15,25 @@ once at the end.  Otherwise it updates ``w`` directly at O(d) per step.
 Both run in one loop with the same permutation, shrinking and stopping
 rule, so they take the same steps up to rounding.
 
-The logistic trainer is plain gradient descent with a backtracking line
-search.  Both trainers handle the intercept through an appended constant
-feature, so the bias is regularized like any other weight.
+The intercept is handled through an appended constant feature, so the
+bias is regularized like any other weight.
 
 Models store only non-zero weights.  ``sparsify`` drops entries below a
-magnitude floor (bias untouched) and is idempotent.
+magnitude floor (bias untouched) and is idempotent.  ``write_model`` and
+``read_model`` carry one model inside a caller's container; a short or
+malformed record raises :class:`LinearFormatError`.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-_MAGIC = b"ECLIN1\n"
-_VERSION = 1
-_KINDS = ("l2svm", "logistic")
+from .core import read_exact, read_struct
+
+_KINDS = ("l2svm",)
 _HEAD = "<BIdIIBdd"
 
 
@@ -50,7 +49,7 @@ class TrainMeta:
     converged: bool
     primal_objective: float
     objective_curve: tuple[float, ...]
-    regularizer: float  # C for the SVM, l2 strength for logistic
+    regularizer: float  # the SVM's C
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,61 +248,6 @@ def train_l2svm(
     return _to_sparse("l2svm", w[:-1], w[-1], meta)
 
 
-def logistic_objective(
-    w_aug: np.ndarray, Xa: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Regularized negative log-likelihood and its gradient; y in {-1,+1}."""
-    margins = y * (Xa @ w_aug)
-    value = float(np.logaddexp(0.0, -margins).sum()) + 0.5 * l2 * float(w_aug @ w_aug)
-    grad = -(Xa * (y * sigmoid(-margins))[:, None]).sum(axis=0) + l2 * w_aug
-    return value, grad
-
-
-def train_logistic(
-    positives: Sequence[np.ndarray],
-    negatives: Sequence[np.ndarray],
-    l2: float = 1.0,
-    max_iter: int = 2000,
-    tol: float = 1e-6,
-) -> LinearModel:
-    """Gradient descent with Armijo backtracking; converged when ||grad|| < tol."""
-    if l2 < 0:
-        raise ValueError(f"l2 must be non-negative, got {l2}")
-    X, y = _check_training_input(positives, negatives)
-    n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    w = np.zeros(d + 1)
-    value, grad = logistic_objective(w, Xa, y, l2)
-    curve = [value]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gnorm_sq = float(grad @ grad)
-        if np.sqrt(gnorm_sq) < tol:
-            converged = True
-            iterations -= 1
-            break
-        step = 1.0
-        while True:
-            trial = w - step * grad
-            trial_value, trial_grad = logistic_objective(trial, Xa, y, l2)
-            if trial_value <= value - 0.5 * step * gnorm_sq or step < 1e-16:
-                break
-            step *= 0.5
-        w, value, grad = trial, trial_value, trial_grad
-        curve.append(value)
-    else:
-        converged = np.linalg.norm(grad) < tol
-    meta = TrainMeta(
-        iterations=iterations,
-        converged=converged,
-        primal_objective=value,
-        objective_curve=tuple(curve),
-        regularizer=l2,
-    )
-    return _to_sparse("logistic", w[:-1], w[-1], meta)
-
-
 # --------------------------------------------------------------------------
 # Serialization
 
@@ -328,24 +272,16 @@ def write_model(fh, model: LinearModel) -> None:
     fh.write(np.asarray(model.values, dtype="<f8").tobytes())
 
 
-def read_exact(fh, size: int) -> bytes:
-    """Read exactly ``size`` bytes or raise :class:`LinearFormatError`."""
-    data = fh.read(size)
-    if len(data) != size:
-        raise LinearFormatError(f"truncated: wanted {size} bytes, got {len(data)}")
-    return data
-
-
 def read_model(fh) -> LinearModel:
-    kind_code, dim, bias, nnz, iterations, converged, primal, reg = struct.unpack(
-        _HEAD, read_exact(fh, struct.calcsize(_HEAD))
+    kind_code, dim, bias, nnz, iterations, converged, primal, reg = read_struct(
+        fh, _HEAD, LinearFormatError
     )
     if kind_code >= len(_KINDS):
         raise LinearFormatError(f"unknown model kind code {kind_code}")
-    (curve_len,) = struct.unpack("<I", read_exact(fh, 4))
-    curve = np.frombuffer(read_exact(fh, 8 * curve_len), dtype="<f8")
-    indices = np.frombuffer(read_exact(fh, 4 * nnz), dtype="<i4").copy()
-    values = np.frombuffer(read_exact(fh, 8 * nnz), dtype="<f8").copy()
+    (curve_len,) = read_struct(fh, "<I", LinearFormatError)
+    curve = np.frombuffer(read_exact(fh, 8 * curve_len, LinearFormatError), dtype="<f8")
+    indices = np.frombuffer(read_exact(fh, 4 * nnz, LinearFormatError), dtype="<i4").copy()
+    values = np.frombuffer(read_exact(fh, 8 * nnz, LinearFormatError), dtype="<f8").copy()
     meta = TrainMeta(
         iterations=iterations,
         converged=bool(converged),
@@ -357,23 +293,3 @@ def read_model(fh) -> LinearModel:
         kind=_KINDS[kind_code], dim=dim, indices=indices, values=values,
         bias=bias, meta=meta,
     )
-
-
-def save_linear(model: LinearModel, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        write_model(fh, model)
-
-
-def load_linear(path: str | Path) -> LinearModel:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise LinearFormatError(f"{path}: not a linear-model container")
-        (version,) = struct.unpack("<I", read_exact(fh, 4))
-        if version != _VERSION:
-            raise LinearFormatError(f"{path}: unsupported container version {version}")
-        model = read_model(fh)
-        if fh.read(1):
-            raise LinearFormatError(f"{path}: trailing bytes")
-    return model

@@ -38,6 +38,10 @@ RUNNING = "Running"
 DONE = "Done"
 FAILED = "Failed"
 
+# Largest accepted POST body (about 150k average-length FASTA records).
+# Larger requests get 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 _LEGAL_TRANSITIONS = {
     (PENDING, RUNNING),
     (RUNNING, DONE),
@@ -284,6 +288,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "bad Content-Length"})
             return
         length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_json(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+            return
         body = self.rfile.read(length) if length else b""
         job = self.service.submit(body)
         self._send_json(202, {"job_id": job.job_id})

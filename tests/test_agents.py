@@ -220,9 +220,13 @@ class TestFunctionCountModel:
         again.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_foreign_payload_rejected(self):
+    def test_foreign_payload_rejected(self, tmp_path):
         with pytest.raises(AgentError):
             FunctionCountModel.from_dict({"format": "other", "version": 1})
+        path = tmp_path / "counts.json"
+        path.write_text('["not", "a", "model"]', encoding="ascii")
+        with pytest.raises(AgentError, match="JSON object"):
+            FunctionCountModel.load(path)
 
 
 _FAST_RANKER = EcRankerParams(
@@ -387,6 +391,14 @@ class TestEcRanker:
             EcRanker.load(tmp_path)
         path.write_bytes(blob)
         assert set(EcRanker.load(tmp_path).classifiers) == {0, 1}
+
+    def test_non_object_meta_rejected(self, tmp_path):
+        records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
+        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
+        (tmp_path / "ranker_meta.json").write_text("[1, 2]", encoding="ascii")
+        with pytest.raises(AgentError, match="JSON object"):
+            EcRanker.load(tmp_path)
 
     def test_training_is_deterministic(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.2.2.2", 8)])

@@ -1,4 +1,4 @@
-"""Aligner tests: hand-scored pairs, band limits, retrieval and adapters."""
+"""Aligner tests: hand-scored pairs, band limits and retrieval."""
 
 import datetime as dt
 
@@ -12,7 +12,6 @@ from ecann.alignment import (
     KmerIndex,
     banded_local_align,
     full_local_align,
-    load_tabular_hits,
 )
 from ecann.core import ProteinRecord, parse_ec_list
 
@@ -188,8 +187,7 @@ class TestKmerIndex:
         }
         recs = [_rec(rid, s, "1.1.1.1") for rid, s in seqs.items()]
         index = KmerIndex.build(recs)
-        hit = index.align_best(seqs["P2"])
-        assert hit is not None
+        hit = index.align_all(seqs["P2"])[0]
         assert hit.id == "P2"
         assert hit.identity == 1.0
         assert hit.labels == parse_ec_list("1.1.1.1")
@@ -216,21 +214,7 @@ class TestKmerIndex:
     def test_query_shorter_than_k_finds_nothing(self):
         index = KmerIndex.build([_rec("P1", ALPHA)])
         assert index.candidates("ACD") == []
-        assert index.align_best("ACD") is None
-
-    def test_min_identity_gate_returns_none(self):
-        # three scattered substitutions: the best local alignment still spans
-        # the full 20 columns (exact runs alone score far less), identity 0.85
-        ref = list(ALPHA)
-        for pos in (5, 10, 15):
-            ref[pos] = "W"
-        ref = "".join(ref)
-        strict = KmerIndex.build([_rec("P1", ref)], AlignmentParams(min_identity=0.9))
-        hits = strict.align_all(ALPHA)
-        assert hits and hits[0].identity == pytest.approx(0.85)
-        assert strict.align_best(ALPHA) is None
-        loose = KmerIndex.build([_rec("P1", ref)], AlignmentParams(min_identity=0.8))
-        assert loose.align_best(ALPHA) is not None
+        assert index.align_all("ACD") == []
 
     def test_hits_ordered_by_identity_then_score_then_id(self):
         query = ALPHA + ALPHA
@@ -251,66 +235,5 @@ class TestKmerIndex:
     def test_label_transfer_is_verbatim(self):
         recs = [_rec("P1", ALPHA * 3, "2.7.11.1;3.1.3.16")]
         index = KmerIndex.build(recs)
-        hit = index.align_best(ALPHA * 3)
+        hit = index.align_all(ALPHA * 3)[0]
         assert hit.labels == parse_ec_list("2.7.11.1;3.1.3.16")
-
-
-class TestTabularAdapter:
-    LABELS = {"S1": "1.1.1.1", "S2": "2.7.11.1;3.1.3.16"}
-
-    @staticmethod
-    def _row(q, s, pident, length, bits):
-        return "\t".join(
-            [q, s, str(pident), str(length), "3", "1", "1", "100", "1", "100",
-             "1e-30", str(bits)]
-        )
-
-    def test_rows_become_ranked_hits(self, tmp_path):
-        path = tmp_path / "hits.tsv"
-        path.write_text(
-            "# comment line\n"
-            + self._row("Q1", "S1", 55.0, 200, 211.0) + "\n"
-            + "\n"
-            + self._row("Q1", "S2", 87.5, 160, 305.0) + "\n"
-            + self._row("Q2", "S2", 40.0, 100, 88.0) + "\n"
-        )
-        hits = load_tabular_hits(path, self.LABELS)
-        assert set(hits) == {"Q1", "Q2"}
-        assert [h.id for h in hits["Q1"]] == ["S2", "S1"]
-        top = hits["Q1"][0]
-        assert top.identity == pytest.approx(0.875)
-        assert top.columns == 160
-        assert top.matches == 140
-        assert top.score == 305.0
-        assert top.labels == parse_ec_list("2.7.11.1;3.1.3.16")
-
-    def test_wrong_column_count_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("Q1\tS1\t50.0\t100\n")
-        with pytest.raises(AlignmentError, match="12"):
-            load_tabular_hits(path, self.LABELS)
-
-    def test_bad_numeric_field_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(self._row("Q1", "S1", "high", 100, 50.0) + "\n")
-        with pytest.raises(AlignmentError, match="line 1"):
-            load_tabular_hits(path, self.LABELS)
-
-    def test_identity_out_of_range_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(self._row("Q1", "S1", 140.0, 100, 50.0) + "\n")
-        with pytest.raises(AlignmentError):
-            load_tabular_hits(path, self.LABELS)
-
-    def test_unknown_subject_id_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(self._row("Q1", "MYSTERY", 50.0, 100, 50.0) + "\n")
-        with pytest.raises(AlignmentError, match="MYSTERY"):
-            load_tabular_hits(path, self.LABELS)
-
-    def test_parsed_label_tuples_accepted(self, tmp_path):
-        path = tmp_path / "hits.tsv"
-        path.write_text(self._row("Q1", "S1", 60.0, 100, 90.0) + "\n")
-        parsed = {"S1": parse_ec_list("1.1.1.1")}
-        hits = load_tabular_hits(path, parsed)
-        assert hits["Q1"][0].labels == parse_ec_list("1.1.1.1")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecann.ann import AnnIndex, AnnParams, brute_force_knn
+from ecann.ann import AnnFormatError, AnnIndex, AnnParams, brute_force_knn
 from ecann.embedding import EmbeddingTable
 
 
@@ -205,7 +205,7 @@ class TestSerialization:
         index.graph[0][0] = list(range(1, 20))
         path = tmp_path / "bad.idx"
         index.save(path)
-        with pytest.raises(AssertionError, match="degree"):
+        with pytest.raises(AnnFormatError, match="degree"):
             AnnIndex.load(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -213,3 +213,37 @@ class TestSerialization:
         path.write_bytes(b"NOTANIDX" * 4)
         with pytest.raises(ValueError, match="container"):
             AnnIndex.load(path)
+
+    def test_every_truncation_and_padding_is_a_named_error(self, tmp_path):
+        index = AnnIndex.build(make_table(6, 3, seed=14), AnnParams(m=2, ef_construction=8))
+        path = tmp_path / "a.idx"
+        index.save(path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(AnnFormatError):
+                AnnIndex.load(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(AnnFormatError, match="trailing"):
+            AnnIndex.load(path)
+        path.write_bytes(blob)
+        assert AnnIndex.load(path).graph == index.graph
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bit_flip_is_a_named_error_or_a_valid_index(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "ann-bit-flip.idx"
+    if not path.exists():
+        table = make_table(30, 4, seed=15)
+        AnnIndex.build(table, AnnParams(m=4, ef_construction=20)).save(path)
+    blob = bytearray(path.read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    flipped = path.with_suffix(".flipped")
+    flipped.write_bytes(bytes(blob))
+    try:
+        with np.errstate(over="ignore"):  # a flipped exponent is still a vector
+            loaded = AnnIndex.load(flipped)
+    except AnnFormatError:
+        return
+    loaded.validate()

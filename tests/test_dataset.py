@@ -13,7 +13,6 @@ from ecann.dataset import (
     parse_fasta,
     parse_flatfile,
     preprocess,
-    snapshot_diff,
     validation_split,
     write_flatfile,
     write_rejects,
@@ -305,28 +304,6 @@ class TestValidationSplit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             validation_split([], fraction=1.5)
-
-
-class TestSnapshotDiff:
-    def test_counts(self, demo_snapshots):
-        earlier, later = demo_snapshots
-        diff = snapshot_diff(earlier, later)
-        rows = diff.rows
-        assert rows["records"].added > 0
-        assert rows["records"].removed > 0
-        assert rows["records"].in_later == rows["records"].in_earlier + rows[
-            "records"
-        ].added - rows["records"].removed
-        assert rows["distinct_ec"].added >= 2  # planted novel labels
-        assert "item\t" in diff.to_tsv()
-
-    def test_enzyme_and_non_enzyme_rows_partition_records(self, demo_snapshots):
-        earlier, later = demo_snapshots
-        rows = snapshot_diff(earlier, later).rows
-        assert (
-            rows["enzyme"].in_earlier + rows["non_enzyme"].in_earlier
-            == rows["records"].in_earlier
-        )
 
 
 class TestFunctionCountPartition:

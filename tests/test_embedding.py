@@ -1,34 +1,17 @@
-import datetime
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ecann.core import AMINO_ACIDS, ProteinRecord, Task, parse_ec
+from ecann.core import AMINO_ACIDS
 from ecann.embedding import (
     EmbeddingError,
     EmbeddingTable,
-    KnnBaseline,
     one_hot_encode,
     one_hot_table,
     load_embedding_table,
     save_embedding_table,
     save_embedding_table_tsv,
-    select_embedding,
 )
-
-
-def record(rec_id, seq, ecs=(), day=(2015, 1, 1)):
-    when = datetime.date(*day)
-    return ProteinRecord(
-        id=rec_id,
-        name=rec_id,
-        seq=seq,
-        is_enzyme=bool(ecs),
-        ecs=tuple(parse_ec(e) for e in ecs),
-        date_integrated=when,
-        date_sequence_update=when,
-    )
 
 
 class TestOneHot:
@@ -120,72 +103,24 @@ class TestTableIo:
         with pytest.raises(EmbeddingError, match="truncated"):
             load_embedding_table(path)
 
+    def test_every_truncation_is_a_named_error(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(EmbeddingError):
+                load_embedding_table(path)
 
-class TestSelectEmbedding:
-    def records(self):
-        train = [
-            record("E1", "MAMAMAMA", ecs=("1.1.1.1",)),
-            record("E2", "MAMAMAMC", ecs=("1.1.1.1",)),
-            record("E3", "MAMAMACC", ecs=("2.1.1.1",)),
-            record("N1", "WWWWGGGG"),
-            record("N2", "WWWWGGGC"),
-            record("N3", "WWWGGGGC"),
-        ]
-        val = [
-            record("E4", "MAMAMAMG", ecs=("1.1.1.1",)),
-            record("N4", "WWWWGGCC"),
-        ]
-        return train, val
-
-    def test_informative_table_beats_constant_table(self):
-        train, val = self.records()
-        everyone = train + val
-        informative = one_hot_table(everyone, max_len=8)
-        constant = EmbeddingTable(
-            tag="constant", dim=4, vectors={r.id: np.zeros(4) for r in everyone}
-        )
-        result = select_embedding([constant, informative], Task.ENZYME, train, val)
-        assert result.winner == "one-hot"
-        scores = {row.tag: row.score for row in result.scoreboard}
-        assert scores["one-hot"] >= scores["constant"]
-        winner_row = next(r for r in result.scoreboard if r.tag == result.winner)
-        assert all(winner_row.score >= r.score for r in result.scoreboard)
-
-    def test_tie_broken_by_smaller_dim(self):
-        train, val = self.records()
-        everyone = train + val
-        big = one_hot_table(everyone, max_len=10)
-        small = one_hot_table(everyone, max_len=8)
-        small = EmbeddingTable(tag="small", dim=small.dim, vectors=small.vectors)
-        result = select_embedding([big, small], Task.ENZYME, train, val)
-        assert result.winner == "small"
-
-    def test_missing_id_reported_with_table_name(self):
-        train, val = self.records()
-        incomplete = one_hot_table(train, max_len=8)  # lacks validation ids
-        with pytest.raises(EmbeddingError, match="missing from table"):
-            select_embedding([incomplete], Task.ENZYME, train, val)
-
-    def test_deterministic(self):
-        train, val = self.records()
-        table = one_hot_table(train + val, max_len=8)
-        a = select_embedding([table], Task.FUNCTION_COUNT, train, val)
-        b = select_embedding([table], Task.FUNCTION_COUNT, train, val)
-        assert a == b
-
-
-class TestKnnBaseline:
-    def test_exact_match_dominates(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [1.1, 1.0], [0.9, 1.0]])
-        y = np.array([0, 1, 1, 1])
-        knn = KnnBaseline(n_neighbors=4)
-        knn.fit(X, y)
-        assert knn.predict(np.array([[0.0, 0.0]]))[0] == 0
-
-    def test_distance_weighted_vote(self):
-        X = np.array([[0.0], [2.0], [2.1]])
-        y = np.array([0, 1, 1])
-        knn = KnnBaseline(n_neighbors=3)
-        knn.fit(X, y)
-        # Query at 0.5: weight(0) = 2, weight(1) = 1/1.5 + 1/1.6 < 2.
-        assert knn.predict(np.array([[0.5]]))[0] == 0
+    @pytest.mark.parametrize("dim, match", [
+        (2**32 - 1, "truncated"),  # 32 GiB rows: fail before reading any
+        (0, "dim must be positive"),  # zero-width rows would never run out
+    ])
+    def test_corrupt_dim_fails_before_reading_rows(self, tmp_path, dim, match):
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        blob = bytearray(path.read_bytes())
+        blob[13:17] = dim.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(EmbeddingError, match=match):
+            load_embedding_table(path)

@@ -14,7 +14,6 @@ from ecann.integrate import (
     PolicyGrid,
     greedy_tune,
     integrate,
-    integrate_all,
 )
 
 ALIGN = PredictionSource.ALIGNMENT
@@ -143,11 +142,6 @@ class TestIntegrate:
         hit = _hit(0.8)
         policy = IntegrationPolicy(alignment_min_identity=0.6)
         assert integrate("Q", out, hit, policy) == integrate("Q", out, hit, policy)
-
-    def test_integrate_all_orders_by_query_id(self):
-        outputs = {"B": _outputs(), "A": _outputs(is_enzyme=False)}
-        preds = integrate_all(outputs, {}, IntegrationPolicy())
-        assert [p.id for p in preds] == ["A", "B"]
 
 
 def _tuning_fixture():

@@ -11,14 +11,11 @@ from ecann.linear import (
     decision,
     decision_many,
     l2svm_primal_objective,
-    load_linear,
-    logistic_objective,
     read_model,
-    save_linear,
     sigmoid,
     sparsify,
     train_l2svm,
-    train_logistic,
+    write_model,
 )
 
 
@@ -262,57 +259,6 @@ class TestGramSpaceParity:
         assert model.bias == pytest.approx(w_aug[-1], rel=0, abs=1e-8)
 
 
-class TestLogistic:
-    def test_symmetric_pair_matches_bisection_oracle(self):
-        l2 = 1.0
-        model = train_logistic(
-            [np.array([1.0])], [np.array([-1.0])], l2=l2, tol=1e-12, max_iter=5000
-        )
-
-        # Stationarity in the weight coordinate: 2*(sigmoid(w)-1) + l2*w = 0.
-        def grad_w(w):
-            return 2.0 * (sigmoid(w) - 1.0) + l2 * w
-
-        lo, hi = 0.0, 10.0
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if grad_w(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        w_star = (lo + hi) / 2
-        assert model.dense_weights()[0] == pytest.approx(w_star, abs=1e-6)
-        assert model.bias == pytest.approx(0.0, abs=1e-6)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        Xa = rng.normal(size=(12, 5))
-        y = np.sign(rng.normal(size=12))
-        w = rng.normal(size=5)
-        value, grad = logistic_objective(w, Xa, y, l2=0.7)
-        eps = 1e-6
-        for j in range(5):
-            bump = np.zeros(5)
-            bump[j] = eps
-            up, _ = logistic_objective(w + bump, Xa, y, l2=0.7)
-            down, _ = logistic_objective(w - bump, Xa, y, l2=0.7)
-            fd = (up - down) / (2 * eps)
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-    def test_objective_decreases_monotonically(self):
-        pos, neg = separable_blobs(n=20, seed=10)
-        model = train_logistic(pos, neg, l2=0.5, tol=1e-8)
-        curve = model.meta.objective_curve
-        assert all(a >= b for a, b in zip(curve, curve[1:]))
-        assert model.meta.converged
-
-    def test_separates_blobs(self):
-        pos, neg = separable_blobs(seed=11)
-        model = train_logistic(pos, neg, l2=0.01)
-        assert np.all(decision_many(model, pos) > 0)
-        assert np.all(decision_many(model, neg) < 0)
-
-
 class TestSigmoid:
     def test_extremes_stable(self):
         assert sigmoid(1000.0) == pytest.approx(1.0)
@@ -376,26 +322,32 @@ class TestDecision:
             decision(model, np.zeros(5))
 
 
+def _serialized(model):
+    fh = io.BytesIO()
+    write_model(fh, model)
+    return fh.getvalue()
+
+
 class TestSerialization:
-    def test_round_trip_byte_identical(self, tmp_path):
+    def test_round_trip_byte_identical(self):
         pos, neg = separable_blobs(seed=12)
         model = train_l2svm(pos, neg, C=1.0)
-        p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
-        save_linear(model, p1)
-        loaded = load_linear(p1)
+        blob = _serialized(model)
+        loaded = read_model(io.BytesIO(blob))
         assert loaded.kind == model.kind
         assert np.array_equal(loaded.indices, model.indices)
         assert np.array_equal(loaded.values, model.values)
         assert loaded.bias == model.bias
         assert loaded.meta == model.meta
-        save_linear(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert _serialized(loaded) == blob
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"whatever")
-        with pytest.raises(ValueError, match="container"):
-            load_linear(path)
+    def test_unknown_kind_code_rejected(self):
+        pos, neg = separable_blobs(seed=13)
+        blob = bytearray(_serialized(train_l2svm(pos, neg)))
+        assert blob[0] == 0  # the kind code: l2svm
+        blob[0] = 1
+        with pytest.raises(LinearFormatError, match="kind code 1"):
+            read_model(io.BytesIO(bytes(blob)))
 
     @given(
         st.integers(1, 6),
@@ -403,27 +355,18 @@ class TestSerialization:
         st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=3),
     )
     @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_every_truncation_and_padding_is_a_named_error(
-        self, tmp_path_factory, dim, values, curve
-    ):
+    def test_every_truncation_and_padding_is_a_named_error(self, dim, values, curve):
         values = values[:dim]
         meta = TrainMeta(3, True, 0.5, tuple(curve), 1.0)
         model = LinearModel(
             kind="l2svm", dim=dim, indices=np.arange(len(values), dtype=np.int32),
             values=np.asarray(values, dtype=np.float64), bias=0.25, meta=meta,
         )
-        path = tmp_path_factory.mktemp("cuts") / "model.bin"
-        save_linear(model, path)
-        blob = path.read_bytes()
-        header = len(b"ECLIN1\n") + 4  # magic, then the container version
+        blob = _serialized(model)
         for cut in range(len(blob)):
-            path.write_bytes(blob[:cut])
-            with pytest.raises(LinearFormatError):
-                load_linear(path)
-            with pytest.raises(LinearFormatError):
-                read_model(io.BytesIO(blob[header:max(cut, header)]))
-        path.write_bytes(blob + b"\0")
-        with pytest.raises(LinearFormatError, match="trailing"):
-            load_linear(path)
-        path.write_bytes(blob)
-        assert np.array_equal(load_linear(path).values, model.values)
+            with pytest.raises(LinearFormatError, match="truncated"):
+                read_model(io.BytesIO(blob[:cut]))
+        # read_model consumes exactly one model, so a caller sees any padding.
+        padded = io.BytesIO(blob + b"\0")
+        assert np.array_equal(read_model(padded).values, model.values)
+        assert padded.read() == b"\0"

@@ -1,0 +1,92 @@
+"""Guard: every public top-level name in ``ecann`` has a caller outside tests.
+
+A function or class that only tests call is code kept correct for nobody.
+A name counts as referenced when it appears in ``src/``, ``scripts/`` or
+``perfbench/`` outside its own definition: as a name, an attribute, an
+import, or a word in a non-docstring string (perfbench names its wrap
+targets as strings).  ``__all__`` lists do not count.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ecann"
+
+# name -> why it may have no caller outside tests
+ALLOWED = {
+    "full_local_align": "oracle for banded_local_align",
+    "decision_many": "oracle for the per-row decision in batch tests",
+    "make_demo_snapshots": "fixture generator for tests and the README demo",
+    "save_embedding_table_tsv": "writes the TSV table format the CLI reads",
+    "write_predictions_tsv": "writes the prediction TSV format the CLI scores",
+}
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def _references(tree: ast.AST, exclude: ast.AST | None = None) -> set[str]:
+    skipped = {id(sub) for sub in ast.walk(exclude)} if exclude is not None else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+    skipped |= _docstrings(tree)
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def _parse(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def test_no_public_name_is_referenced_only_from_tests():
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    others = _parse(
+        sorted(p for d in ("scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    )
+    outside = set().union(*(_references(tree) for tree in others.values()))
+    whole = {path: _references(tree) for path, tree in package.items()}
+    unreferenced = []
+    for path, tree in package.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in ALLOWED:
+                continue
+            refs = outside | _references(tree, exclude=node)
+            refs = refs.union(*(names for other, names in whole.items() if other != path))
+            if node.name not in refs:
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, "public names only tests reference: " + ", ".join(unreferenced)
+
+
+def test_allowlist_names_exist():
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    defined = {
+        node.name
+        for tree in package.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert set(ALLOWED) <= defined

@@ -19,6 +19,7 @@ from ecann.service import (
     PENDING,
     RUNNING,
     AnnotationService,
+    MAX_BODY_BYTES,
     JobStore,
     ServiceError,
     make_server,
@@ -204,6 +205,31 @@ class TestHttpLifecycle:
             conn.close()
         assert service.store.job_ids() == []
         assert _get(server, "/healthz")[0] == 200  # the server is still serving
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10**15])
+    def test_oversized_body_is_413_without_reading_it(self, server, service, length):
+        conn = http.client.HTTPConnection(server.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders()  # headers only: the server must not wait for a body
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert str(MAX_BODY_BYTES) in json.loads(resp.read())["error"]
+            assert conn.sock.recv(1) == b""  # the server closed the connection
+        finally:
+            conn.close()
+        assert service.store.job_ids() == []
+        assert _get(server, "/healthz")[0] == 200  # a new connection is served
+
+    def test_body_at_the_cap_is_accepted(self, server, service, monkeypatch):
+        monkeypatch.setattr("ecann.service.MAX_BODY_BYTES", 8)
+        status, _ = _post(server, "/jobs", b">A\nMKVL\n")  # exactly 8 bytes
+        assert status == 202
+        with pytest.raises(HTTPError) as err:
+            _post(server, "/jobs", b">A\nMKVLA\n")
+        assert err.value.code == 413
+        assert len(service.store.job_ids()) == 1
 
     def test_keep_alive_requests_do_not_stall(self, server):
         conn = http.client.HTTPConnection(server.removeprefix("http://"), timeout=10)
