@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,13 +27,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ann import AnnIndex, AnnParams, brute_force_knn
-from .core import ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec, read_struct
+from .core import (
+    ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec, read_container,
+    write_container,
+)
 from .embedding import EmbeddingTable
 from .gbdt import GbdtModel, GbdtParams, train_gbdt
-from .linear import (
-    LinearFormatError, LinearModel, decision, read_model, sigmoid, sparsify, train_l2svm,
-    write_model,
-)
+from .linear import LinearModel, TrainMeta, decision, sigmoid, sparsify, train_l2svm
 
 __all__ = [
     "AgentError",
@@ -51,6 +50,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MAX_RECOMMENDATIONS = 20
+
+_CLASSIFIERS_KIND = "ranker-classifiers"
 
 
 class AgentError(ValueError):
@@ -409,29 +410,20 @@ class EcRanker:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.index.save(directory / "ranker_index.bin")
-        with open(directory / "ranker_classifiers.bin", "wb") as fh:
-            fh.write(struct.pack("<I", len(self.classifiers)))
-            for label in sorted(self.classifiers):
-                fh.write(struct.pack("<I", label))
-                write_model(fh, self.classifiers[label])
+        models, arrays = [], {}
+        for label, clf in sorted(self.classifiers.items()):
+            scalars = {k: v for k, v in asdict(clf.meta).items() if k != "objective_curve"}
+            models.append({"label": label, "dim": clf.dim, "bias": clf.bias, **scalars})
+            arrays[f"{label}.indices"] = clf.indices
+            arrays[f"{label}.values"] = clf.values
+            arrays[f"{label}.curve"] = np.asarray(clf.meta.objective_curve, dtype=np.float64)
+        write_container(
+            directory / "ranker_classifiers.bin", _CLASSIFIERS_KIND, {"models": models}, arrays
+        )
         meta = {
             "format": "ec-ranker",
             "version": 1,
-            "params": {
-                "ann": {
-                    "m": self.params.ann.m,
-                    "ef_construction": self.params.ann.ef_construction,
-                    "ef_search": self.params.ann.ef_search,
-                    "metric": self.params.ann.metric,
-                    "seed": self.params.ann.seed,
-                },
-                "negative_budget": self.params.negative_budget,
-                "shortlist_size": self.params.shortlist_size,
-                "svm_c": self.params.svm_c,
-                "svm_max_iter": self.params.svm_max_iter,
-                "svm_tol": self.params.svm_tol,
-                "sparsify_floor": self.params.sparsify_floor,
-            },
+            "params": asdict(self.params),
             "labels": [format_ec(self.label_dict.ec_of(i)) for i in range(len(self.label_dict))],
             "label_of_point": self.label_of_point,
             "negatives_used": {str(k): v for k, v in self.negatives_used.items()},
@@ -448,31 +440,27 @@ class EcRanker:
             raise AgentError("EC-ranker payload must be a JSON object")
         if meta.get("format") != "ec-ranker" or meta.get("version") != 1:
             raise AgentError("unrecognized EC-ranker payload")
-        raw = meta["params"]
-        params = EcRankerParams(
-            ann=AnnParams(**raw["ann"]),
-            negative_budget=raw["negative_budget"],
-            shortlist_size=raw["shortlist_size"],
-            svm_c=raw["svm_c"],
-            svm_max_iter=raw["svm_max_iter"],
-            svm_tol=raw["svm_tol"],
-            sparsify_floor=raw["sparsify_floor"],
-        )
-        label_dict = LabelDictionary(parse_ec(text) for text in meta["labels"])
+        try:
+            raw = meta["params"]
+            params = EcRankerParams(**{**raw, "ann": AnnParams(**raw["ann"])})
+            label_dict = LabelDictionary(parse_ec(text) for text in meta["labels"])
+            label_of_point = {str(k): int(v) for k, v in meta["label_of_point"].items()}
+            negatives_used = {int(k): int(v) for k, v in meta["negatives_used"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise AgentError(f"{directory}: bad EC-ranker payload: {exc}") from exc
         index = AnnIndex.load(directory / "ranker_index.bin")
+        path = directory / "ranker_classifiers.bin"
+        stored, arrays = read_container(path, _CLASSIFIERS_KIND, AgentError)
         classifiers: dict[int, LinearModel] = {}
-        with open(directory / "ranker_classifiers.bin", "rb") as fh:
-            (count,) = read_struct(fh, "<I", LinearFormatError)
-            for _ in range(count):
-                (label,) = read_struct(fh, "<I", LinearFormatError)
-                classifiers[label] = read_model(fh)
-            if fh.read(1):
-                raise AgentError("ranker classifiers: trailing bytes")
-        return cls(
-            label_dict=label_dict,
-            classifiers=classifiers,
-            index=index,
-            label_of_point={str(k): int(v) for k, v in meta["label_of_point"].items()},
-            params=params,
-            negatives_used={int(k): int(v) for k, v in meta["negatives_used"].items()},
-        )
+        try:
+            for model in stored["models"]:
+                label, dim, bias = model.pop("label"), model.pop("dim"), model.pop("bias")
+                curve = tuple(arrays[f"{label}.curve"].tolist())
+                classifiers[label] = LinearModel(
+                    dim=dim, indices=arrays[f"{label}.indices"],
+                    values=arrays[f"{label}.values"], bias=bias,
+                    meta=TrainMeta(objective_curve=curve, **model),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise AgentError(f"{path}: bad ranker classifier: {exc}") from exc
+        return cls(label_dict, classifiers, index, label_of_point, params, negatives_used)

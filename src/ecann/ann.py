@@ -18,18 +18,17 @@ oracle used to measure recall.
 from __future__ import annotations
 
 import heapq
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import read_exact, read_struct
+from .core import read_container, write_container
 from .embedding import EmbeddingTable
 
-_MAGIC = b"ECANN1\n"
-_VERSION = 1
+_KIND = "ann-index"
 _METRICS = ("euclidean", "cosine")
 
 
@@ -301,73 +300,52 @@ class AnnIndex:
     # -- serialization ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IBIIIQ",
-                    _VERSION,
-                    _METRICS.index(self.params.metric),
-                    self.params.m,
-                    self.params.ef_construction,
-                    self.params.ef_search,
-                    self.params.seed,
-                )
-            )
-            fh.write(struct.pack("<QIqi", len(self.ids), self.dim, self.entry, self.top_level))
-            for rec_id in self.ids:
-                raw = rec_id.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(np.asarray(self.levels, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(self._matrix[: len(self.ids)], dtype="<f8").tobytes())
-            for node in range(len(self.ids)):
-                for links in self.graph[node]:
-                    fh.write(struct.pack("<I", len(links)))
-                    fh.write(np.asarray(links, dtype="<u4").tobytes())
+        """Container with ``meta = {params, ids, entry, top_level}`` and the
+        arrays ``levels``, ``vectors``, ``degrees`` (one per node-layer, in
+        node then layer order) and ``links`` (every list, concatenated)."""
+        lists = [links for layers in self.graph for links in layers]
+        meta = {"params": asdict(self.params), "ids": self.ids,
+                "entry": self.entry, "top_level": self.top_level}
+        write_container(path, _KIND, meta, {
+            "levels": np.asarray(self.levels, dtype="<u4"),
+            "vectors": self._matrix[: len(self.ids)],
+            "degrees": np.asarray([len(links) for links in lists], dtype="<u4"),
+            "links": np.asarray([nb for links in lists for nb in links], dtype="<u4"),
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "AnnIndex":
         """Read a saved index; any damage raises :class:`AnnFormatError`."""
+        meta, arrays = read_container(path, _KIND, AnnFormatError)
         try:
-            with open(path, "rb") as fh:
-                index = cls._read(fh)
+            index = cls._from_container(meta, arrays)
             index.validate()
-        except (AssertionError, UnicodeDecodeError, ValueError) as exc:
+        except (AssertionError, KeyError, TypeError, ValueError) as exc:
             raise AnnFormatError(f"{path}: {exc}") from exc
         return index
 
     @classmethod
-    def _read(cls, fh) -> "AnnIndex":
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise AnnFormatError("not an index container")
-        version, metric_code, m, ef_c, ef_s, seed = read_struct(fh, "<IBIIIQ", AnnFormatError)
-        if version != _VERSION:
-            raise AnnFormatError(f"unsupported container version {version}")
-        if metric_code >= len(_METRICS):
-            raise AnnFormatError(f"unknown metric code {metric_code}")
-        params = AnnParams(
-            m=m, ef_construction=ef_c, ef_search=ef_s,
-            metric=_METRICS[metric_code], seed=seed,
-        )
-        count, dim, entry, top_level = read_struct(fh, "<QIqi", AnnFormatError)
-        index = cls(params, dim)
-        for _ in range(count):
-            (id_len,) = read_struct(fh, "<H", AnnFormatError)
-            index.ids.append(read_exact(fh, id_len, AnnFormatError).decode("utf-8"))
-        raw = read_exact(fh, 4 * count, AnnFormatError)
-        index.levels = list(np.frombuffer(raw, dtype="<u4").astype(int))
-        raw = read_exact(fh, 8 * count * dim, AnnFormatError)
-        index._matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).copy()
-        index._norms = np.linalg.norm(index._matrix, axis=1)
-        for node in range(count):
-            layers: list[list[int]] = []
-            for _ in range(index.levels[node] + 1):
-                (degree,) = read_struct(fh, "<I", AnnFormatError)
-                links = np.frombuffer(read_exact(fh, 4 * degree, AnnFormatError), dtype="<u4")
-                layers.append([int(x) for x in links])
-            index.graph.append(layers)
-        index.entry, index.top_level = entry, top_level
-        if fh.read(1):
-            raise AnnFormatError("trailing bytes")
+    def _from_container(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "AnnIndex":
+        vectors = arrays["vectors"]
+        levels = arrays["levels"].tolist()
+        degrees = arrays["degrees"].tolist()
+        links = arrays["links"]
+        ids = meta["ids"]
+        if vectors.ndim != 2 or not len(ids) == len(levels) == len(vectors):
+            raise AnnFormatError("ids, levels and vectors disagree on the node count")
+        if len(degrees) != len(levels) + sum(levels) or sum(degrees) != len(links):
+            raise AnnFormatError("degrees disagree with the levels or the links")
+        index = cls(AnnParams(**meta["params"]), vectors.shape[1])
+        index.ids = list(ids)
+        index.levels = levels
+        index._matrix = vectors
+        index._norms = np.linalg.norm(vectors, axis=1)
+        index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
+        index.entry, index.top_level = meta["entry"], meta["top_level"]
         return index
+
+
+def _split(items: list, sizes: list[int]) -> list[list]:
+    """Cut ``items`` into consecutive runs of the given sizes."""
+    bounds = list(accumulate(sizes, initial=0))
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -59,7 +59,7 @@ from .integrate import (
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "ec-annotation-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.tsv"
@@ -192,6 +192,23 @@ class Annotator:
         hits = self._stack.aligner.align_all(seq)
         return hits[0] if hits else None
 
+    def tuning_inputs(
+        self, records: Sequence[ProteinRecord], vectors: Optional[Mapping[str, np.ndarray]]
+    ) -> tuple[dict[str, AgentOutputs], dict[str, Optional[Hit]]]:
+        """Agent outputs and best hit by record id; both routes run for every record.
+
+        Vectors come from ``vectors`` by id, or from embedding the sequence
+        when ``vectors`` is None.
+        """
+        outputs_by_id, hits_by_id = {}, {}
+        for rec in records:
+            if vectors is not None and rec.id not in vectors:
+                raise BundleError(f"record {rec.id!r} has no vector in the supplied table")
+            vec = self.embed(rec.seq) if vectors is None else vectors[rec.id]
+            outputs_by_id[rec.id] = self.agent_outputs(vec)
+            hits_by_id[rec.id] = self.best_hit(rec.seq)
+        return outputs_by_id, hits_by_id
+
     def annotate_one(
         self,
         query_id: str,
@@ -262,10 +279,18 @@ class Annotator:
         if not manifest_path.is_file():
             raise BundleError(f"no {MANIFEST_FILE} in {directory}")
         manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-        if (manifest.get("format") != BUNDLE_FORMAT
+        if (not isinstance(manifest, dict)
+                or manifest.get("format") != BUNDLE_FORMAT
                 or manifest.get("version") != BUNDLE_VERSION):
             raise BundleError("unrecognized bundle format")
-        for name, want in manifest["artifacts"].items():
+        missing = {"embedding_tag", "policy", "params", "artifacts"} - manifest.keys()
+        if missing:
+            raise BundleError(f"bundle manifest lacks {sorted(missing)}")
+        digests = manifest["artifacts"]
+        if not isinstance(digests, dict) or digests.keys() != set(ARTIFACT_FILES):
+            raise BundleError(f"bundle manifest must list exactly the artifacts {ARTIFACT_FILES}")
+        for name in ARTIFACT_FILES:
+            want = digests[name]
             path = directory / name
             if not path.is_file():
                 raise BundleError(f"bundle artifact missing: {name}")
@@ -361,12 +386,7 @@ def train_bundle(
         trial = _fit_stack(fit_part, sub_table, params)
         probe = Annotator(fit_part, sub_table, trial,
                           IntegrationPolicy(), params)
-        outputs_by_id: dict[str, AgentOutputs] = {}
-        hits_by_id: dict[str, Optional[Hit]] = {}
-        for rec in held_out:
-            vec = table.get(rec.id)
-            outputs_by_id[rec.id] = probe.agent_outputs(vec)
-            hits_by_id[rec.id] = probe.best_hit(rec.seq)
+        outputs_by_id, hits_by_id = probe.tuning_inputs(held_out, table.vectors)
         tune_result = greedy_tune(held_out, outputs_by_id, hits_by_id, tune_grid)
         chosen = tune_result.policy
         log.info("tuned policy %s (validation F1 %.4f)",

@@ -348,11 +348,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     vectors = None
     if args.vectors:
         vectors = load_embedding_table(args.vectors, tag=annotator.table.tag).vectors
-    outputs_by_id, hits_by_id = {}, {}
-    for rec in validation:
-        vec = (vectors[rec.id] if vectors is not None else annotator.embed(rec.seq))
-        outputs_by_id[rec.id] = annotator.agent_outputs(vec)
-        hits_by_id[rec.id] = annotator.best_hit(rec.seq)
+    outputs_by_id, hits_by_id = annotator.tuning_inputs(validation, vectors)
     grid = PolicyGrid(identities=tuple(args.identities),
                       thresholds=tuple(args.thresholds))
     result = greedy_tune(validation, outputs_by_id, hits_by_id, grid)

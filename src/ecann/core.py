@@ -2,12 +2,14 @@
 
 Everything here is immutable after construction and hashable where it
 makes sense, so the types are safe to share between threads and to use
-as dictionary keys.
+as dictionary keys.  The binary container codec that every binary
+artifact is written with lives here too.
 """
 from __future__ import annotations
 
-import io
+import json
 import logging
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -15,6 +17,8 @@ from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -318,32 +322,73 @@ def build_label_dictionary(records: Iterable[ProteinRecord]) -> LabelDictionary:
 
 
 # --------------------------------------------------------------------------
-# Binary container reads
+# Binary container
+#
+# Every binary artifact shares one layout: the magic, a little-endian u64
+# header length, a canonical JSON header {"kind", "meta", "arrays": [{"name",
+# "dtype", "shape"}, ...]} padded with spaces to a multiple of 8 bytes, then
+# each array's little-endian bytes starting at an 8-byte-aligned offset, and
+# nothing after the last array.
+
+CONTAINER_MAGIC = b"ECANNC1\n"
+_PREFIX = struct.Struct("<8sQ")
+_DTYPES = ("<f8", "<i4", "<u4")
 
 
-# A read allocates its full size up front, so larger reads are first checked
-# against the bytes left; below this, measuring costs more than it saves.
-_MEASURED_READ = 1 << 20
+def write_container(path: str | Path, kind: str, meta: dict, arrays: dict) -> None:
+    """Write ``meta`` (JSON-able) and named float64/int32/uint32 arrays to ``path``."""
+    arrays = {name: np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+              for name, arr in arrays.items()}
+    specs = [{"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+             for name, arr in arrays.items()]
+    if any(spec["dtype"] not in _DTYPES for spec in specs):
+        raise ValueError(f"array dtypes must be among {_DTYPES}: {specs}")
+    header = {"kind": kind, "meta": meta, "arrays": specs}
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    raw += b" " * (-len(raw) % 8)
+    with open(path, "wb") as fh:
+        fh.write(_PREFIX.pack(CONTAINER_MAGIC, len(raw)) + raw)
+        for arr in arrays.values():
+            fh.write(bytes(-fh.tell() % 8))
+            fh.write(arr.data)
 
 
-def read_exact(fh, size: int, error: type[ValueError]) -> bytes:
-    """Read exactly ``size`` bytes from a seekable binary stream or raise ``error``.
+def read_container(path: str | Path, kind: str, error: type[ValueError]) -> tuple[dict, dict]:
+    """Read a :func:`write_container` file of ``kind``; any damage raises ``error``.
 
-    Sizes over 1 MiB are checked against the bytes left before reading, so a
-    corrupt length field cannot allocate more than that.
+    Returns the meta object and the arrays by name, as read-only views of
+    the file's bytes.  Each array's size is checked against the bytes left
+    before its view is made, so a corrupt shape cannot allocate anything.
     """
-    if size > _MEASURED_READ:
-        pos = fh.tell()
-        left = fh.seek(0, io.SEEK_END) - pos
-        fh.seek(pos)
-        if size > left:
-            raise error(f"truncated: wanted {size} bytes, {left} left")
-    data = fh.read(size)
-    if len(data) != size:
-        raise error(f"truncated: wanted {size} bytes, got {len(data)}")
-    return data
-
-
-def read_struct(fh, fmt: str, error: type[ValueError]) -> tuple:
-    """Unpack one ``struct`` record read through :func:`read_exact`."""
-    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), error))
+    data = Path(path).read_bytes()
+    if len(data) < _PREFIX.size:
+        raise error(f"{path}: truncated: {len(data)} bytes")
+    magic, head_len = _PREFIX.unpack_from(data)
+    if magic != CONTAINER_MAGIC:
+        raise error(f"{path}: not an ecann container")
+    offset = _PREFIX.size + head_len
+    if offset > len(data):
+        raise error(f"{path}: truncated: the header runs past the end")
+    try:
+        header = json.loads(data[_PREFIX.size:offset].decode("ascii"))
+        got, meta, specs = header["kind"], header["meta"], list(header["arrays"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise error(f"{path}: bad container header: {exc}") from None
+    if got != kind:
+        raise error(f"{path}: holds {got!r}, not {kind!r}")
+    arrays: dict[str, np.ndarray] = {}
+    for spec in specs:
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                and spec.get("dtype") in _DTYPES and isinstance(spec.get("name"), str)):
+            raise error(f"{path}: bad array entry {spec!r}")
+        offset += -offset % 8
+        count = math.prod(shape)
+        size = count * np.dtype(spec["dtype"]).itemsize
+        if offset + size > len(data):
+            raise error(f"{path}: truncated: array {spec['name']!r} needs {size} bytes")
+        arrays[spec["name"]] = np.frombuffer(data, spec["dtype"], count, offset).reshape(shape)
+        offset += size
+    if offset != len(data):
+        raise error(f"{path}: {len(data) - offset} trailing bytes")
+    return meta, arrays

@@ -7,20 +7,20 @@ positional one-hot.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import AA_INDEX, AMINO_ACIDS, ProteinRecord, read_exact, read_struct
+from .core import (
+    AA_INDEX, AMINO_ACIDS, CONTAINER_MAGIC, ProteinRecord, read_container, write_container,
+)
 
 DEFAULT_MAX_LEN = 1000
 ONE_HOT_TAG = "one-hot"
 
-_MAGIC = b"ECEMB1\n"
-_VERSION = 1
+_KIND = "embedding-table"
 
 
 class EmbeddingError(ValueError):
@@ -106,41 +106,27 @@ def one_hot_table(
 
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
-    """Binary container: magic, version, tag, dim, count, id width, rows.
+    """Binary container: ``meta = {tag, ids}`` and one ``(n, dim)`` float64 ``vectors``.
 
-    Rows are fixed width (padded utf-8 id, then dim little-endian
-    float64), so loading and re-serializing is byte-identical.
+    Loading and re-saving is byte-identical.
     """
-    ids = [rec_id.encode("utf-8") for rec_id in table.vectors]
-    id_width = max((len(b) for b in ids), default=1)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        tag_bytes = table.tag.encode("utf-8")
-        fh.write(struct.pack("<IHIQH", _VERSION, len(tag_bytes), table.dim, len(ids), id_width))
-        fh.write(tag_bytes)
-        for rec_id, raw in zip(ids, table.vectors.values()):
-            fh.write(rec_id.ljust(id_width, b"\0"))
-            fh.write(np.ascontiguousarray(raw, dtype="<f8").tobytes())
+    ids = table.ids()
+    matrix = np.asarray(table.matrix(ids), dtype=np.float64)
+    write_container(path, _KIND, {"tag": table.tag, "ids": ids}, {"vectors": matrix})
 
 
 def _load_binary_table(path: Path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise EmbeddingError(f"{path}: not an embedding table container")
-        version, tag_len, dim, count, id_width = read_struct(fh, "<IHIQH", EmbeddingError)
-        if version != _VERSION:
-            raise EmbeddingError(f"{path}: unsupported container version {version}")
-        if dim == 0:
-            raise EmbeddingError(f"{path}: dim must be positive")
-        tag = read_exact(fh, tag_len, EmbeddingError).decode("utf-8")
-        vectors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            rec_id = read_exact(fh, id_width, EmbeddingError).rstrip(b"\0").decode("utf-8")
-            raw = read_exact(fh, dim * 8, EmbeddingError)
-            vectors[rec_id] = np.frombuffer(raw, dtype="<f8").copy()
-        if fh.read(1):
-            raise EmbeddingError(f"{path}: trailing bytes after {count} rows")
-    return EmbeddingTable(tag=tag, dim=dim, vectors=vectors)
+    meta, arrays = read_container(path, _KIND, EmbeddingError)
+    try:
+        tag, ids, matrix = meta["tag"], meta["ids"], arrays["vectors"]
+        vectors = dict(zip(ids, matrix))
+    except (KeyError, TypeError) as exc:
+        raise EmbeddingError(f"{path}: bad embedding table: {exc}") from None
+    if matrix.ndim != 2 or len(ids) != len(matrix):
+        raise EmbeddingError(f"{path}: {len(ids)} ids for vectors of shape {matrix.shape}")
+    if len(vectors) != len(ids):
+        raise EmbeddingError(f"{path}: duplicate ids")
+    return EmbeddingTable(tag=tag, dim=matrix.shape[1], vectors=vectors)
 
 
 def save_embedding_table_tsv(table: EmbeddingTable, path: str | Path) -> None:
@@ -180,10 +166,15 @@ def load_embedding_table(path: str | Path, tag: Optional[str] = None) -> Embeddi
     """Load a table from the binary container or from id\\tv0\\tv1... text."""
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC))
-    if head == _MAGIC:
+        head = fh.read(len(CONTAINER_MAGIC))
+    if head == CONTAINER_MAGIC:
         table = _load_binary_table(path)
         if tag is not None and tag != table.tag:
             table = EmbeddingTable(tag=tag, dim=table.dim, vectors=table.vectors)
         return table
-    return _load_tsv_table(path, tag or path.stem)
+    try:
+        return _load_tsv_table(path, tag or path.stem)
+    except UnicodeDecodeError:
+        raise EmbeddingError(
+            f"{path}: neither an ecann container nor a UTF-8 TSV table"
+        ) from None

@@ -19,26 +19,14 @@ The intercept is handled through an appended constant feature, so the
 bias is regularized like any other weight.
 
 Models store only non-zero weights.  ``sparsify`` drops entries below a
-magnitude floor (bias untouched) and is idempotent.  ``write_model`` and
-``read_model`` carry one model inside a caller's container; a short or
-malformed record raises :class:`LinearFormatError`.
+magnitude floor (bias untouched) and is idempotent.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .core import read_exact, read_struct
-
-_KINDS = ("l2svm",)
-_HEAD = "<BIdIIBdd"
-
-
-class LinearFormatError(ValueError):
-    """A serialized linear model is truncated, padded or malformed."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +42,6 @@ class TrainMeta:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    kind: str
     dim: int
     indices: np.ndarray  # sorted int32, no duplicates
     values: np.ndarray  # float64, never exactly zero
@@ -62,8 +49,6 @@ class LinearModel:
     meta: TrainMeta
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if len(self.indices) != len(self.values):
             raise ValueError("indices and values must align")
         if len(self.indices) and (
@@ -81,10 +66,9 @@ class LinearModel:
         return w
 
 
-def _to_sparse(kind: str, w: np.ndarray, bias: float, meta: TrainMeta) -> LinearModel:
+def _to_sparse(w: np.ndarray, bias: float, meta: TrainMeta) -> LinearModel:
     nz = np.nonzero(w)[0]
     return LinearModel(
-        kind=kind,
         dim=len(w),
         indices=nz.astype(np.int32),
         values=w[nz].astype(np.float64),
@@ -124,7 +108,6 @@ def sparsify(model: LinearModel, floor: float) -> LinearModel:
         raise ValueError(f"floor must be non-negative, got {floor}")
     keep = np.abs(model.values) >= floor
     return LinearModel(
-        kind=model.kind,
         dim=model.dim,
         indices=model.indices[keep],
         values=model.values[keep],
@@ -245,51 +228,5 @@ def train_l2svm(
         objective_curve=tuple(curve),
         regularizer=C,
     )
-    return _to_sparse("l2svm", w[:-1], w[-1], meta)
+    return _to_sparse(w[:-1], w[-1], meta)
 
-
-# --------------------------------------------------------------------------
-# Serialization
-
-
-def write_model(fh, model: LinearModel) -> None:
-    fh.write(
-        struct.pack(
-            _HEAD,
-            _KINDS.index(model.kind),
-            model.dim,
-            model.bias,
-            model.nnz,
-            model.meta.iterations,
-            int(model.meta.converged),
-            model.meta.primal_objective,
-            model.meta.regularizer,
-        )
-    )
-    fh.write(struct.pack("<I", len(model.meta.objective_curve)))
-    fh.write(np.asarray(model.meta.objective_curve, dtype="<f8").tobytes())
-    fh.write(np.asarray(model.indices, dtype="<i4").tobytes())
-    fh.write(np.asarray(model.values, dtype="<f8").tobytes())
-
-
-def read_model(fh) -> LinearModel:
-    kind_code, dim, bias, nnz, iterations, converged, primal, reg = read_struct(
-        fh, _HEAD, LinearFormatError
-    )
-    if kind_code >= len(_KINDS):
-        raise LinearFormatError(f"unknown model kind code {kind_code}")
-    (curve_len,) = read_struct(fh, "<I", LinearFormatError)
-    curve = np.frombuffer(read_exact(fh, 8 * curve_len, LinearFormatError), dtype="<f8")
-    indices = np.frombuffer(read_exact(fh, 4 * nnz, LinearFormatError), dtype="<i4").copy()
-    values = np.frombuffer(read_exact(fh, 8 * nnz, LinearFormatError), dtype="<f8").copy()
-    meta = TrainMeta(
-        iterations=iterations,
-        converged=bool(converged),
-        primal_objective=primal,
-        objective_curve=tuple(float(v) for v in curve),
-        regularizer=reg,
-    )
-    return LinearModel(
-        kind=_KINDS[kind_code], dim=dim, indices=indices, values=values,
-        bias=bias, meta=meta,
-    )

@@ -261,9 +261,11 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> AnnotationService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send_json(self, code: int, payload: dict) -> None:
+    def _send_json(self, code: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("ascii")
         self.send_response(code)
+        if close:  # send_header also sets self.close_connection
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -284,13 +286,11 @@ class _Handler(BaseHTTPRequestHandler):
         if not (raw_length.isascii() and raw_length.isdigit()):
             # The body's extent is unknown: answer without reading it and
             # close, so leftover bytes are never parsed as a request.
-            self.close_connection = True
-            self._send_json(400, {"error": "bad Content-Length"})
+            self._send_json(400, {"error": "bad Content-Length"}, close=True)
             return
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._send_json(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+            self._send_json(413, {"error": f"body over {MAX_BODY_BYTES} bytes"}, close=True)
             return
         body = self.rfile.read(length) if length else b""
         job = self.service.submit(body)

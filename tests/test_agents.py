@@ -24,10 +24,12 @@ from ecann.core import (
     format_ec,
     parse_ec,
     parse_ec_list,
+    read_container,
+    write_container,
 )
 from ecann.embedding import EmbeddingTable
 from ecann.gbdt import GbdtParams
-from ecann.linear import LinearFormatError, decision
+from ecann.linear import decision
 
 DAY = dt.date(2015, 6, 1)
 
@@ -366,15 +368,26 @@ class TestEcRanker:
         )
         label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
-        ranker.save(tmp_path)
-        again = EcRanker.load(tmp_path)
+        ranker.save(tmp_path / "a")
+        again = EcRanker.load(tmp_path / "a")
         assert again.params == ranker.params
         assert again.label_of_point == ranker.label_of_point
         assert again.negatives_used == ranker.negatives_used
         assert again.label_dict == ranker.label_dict
+        assert again.classifiers.keys() == ranker.classifiers.keys()
+        for label, clf in ranker.classifiers.items():
+            loaded = again.classifiers[label]
+            assert loaded.dim == clf.dim
+            assert np.array_equal(loaded.indices, clf.indices)
+            assert np.array_equal(loaded.values, clf.values)
+            assert loaded.bias == clf.bias
+            assert loaded.meta == clf.meta
         for _ in range(20):
             q = rng.normal(size=6) * 2.0
             assert again.rank(q) == ranker.rank(q)
+        again.save(tmp_path / "b")
+        for name in ("ranker_index.bin", "ranker_classifiers.bin", "ranker_meta.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_every_truncated_classifier_file_is_a_named_error(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
@@ -384,7 +397,7 @@ class TestEcRanker:
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
-            with pytest.raises(LinearFormatError, match="truncated"):
+            with pytest.raises(AgentError, match="truncated"):
                 EcRanker.load(tmp_path)
         path.write_bytes(blob + b"\0")
         with pytest.raises(AgentError, match="trailing"):
@@ -392,12 +405,33 @@ class TestEcRanker:
         path.write_bytes(blob)
         assert set(EcRanker.load(tmp_path).classifiers) == {0, 1}
 
+    def test_out_of_range_weight_index_is_a_named_error(self, tmp_path):
+        records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
+        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
+        path = tmp_path / "ranker_classifiers.bin"
+        meta, arrays = read_container(path, "ranker-classifiers", AgentError)
+        arrays = dict(arrays, **{"0.indices": arrays["0.indices"] | np.int32(1 << 23)})
+        write_container(path, "ranker-classifiers", meta, arrays)
+        with pytest.raises(AgentError, match="out of range"):
+            EcRanker.load(tmp_path)
+
     def test_non_object_meta_rejected(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
         label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
-        (tmp_path / "ranker_meta.json").write_text("[1, 2]", encoding="ascii")
+        meta_path = tmp_path / "ranker_meta.json"
+        meta = json.loads(meta_path.read_text(encoding="ascii"))
+        meta_path.write_text("[1, 2]", encoding="ascii")
         with pytest.raises(AgentError, match="JSON object"):
+            EcRanker.load(tmp_path)
+        meta["params"]["shortlist"] = 5  # not an EcRankerParams field
+        meta_path.write_text(json.dumps(meta), encoding="ascii")
+        with pytest.raises(AgentError, match="bad EC-ranker payload"):
+            EcRanker.load(tmp_path)
+        del meta["params"]["shortlist"], meta["labels"]
+        meta_path.write_text(json.dumps(meta), encoding="ascii")
+        with pytest.raises(AgentError, match="bad EC-ranker payload"):
             EcRanker.load(tmp_path)
 
     def test_training_is_deterministic(self):

@@ -151,6 +151,25 @@ class TestPersistence:
         (target / MANIFEST_FILE).write_text('{"format": "other", "version": 9}')
         with pytest.raises(BundleError, match="format"):
             Annotator.load(target)
+        (target / MANIFEST_FILE).write_text('["ec-annotation-bundle", 2]')
+        with pytest.raises(BundleError, match="unrecognized bundle format"):
+            Annotator.load(target)
+
+    def test_manifest_must_list_every_artifact_and_key(self, annotator, tmp_path):
+        target = tmp_path / "unlisted"
+        annotator.save(target)
+        manifest = json.loads((target / MANIFEST_FILE).read_text())
+        del manifest["artifacts"]["embeddings.bin"]
+        (target / MANIFEST_FILE).write_text(json.dumps(manifest))
+        blob = bytearray((target / "embeddings.bin").read_bytes())
+        blob[-1] ^= 0x40  # a vector byte: the table itself would still load
+        (target / "embeddings.bin").write_bytes(bytes(blob))
+        with pytest.raises(BundleError, match="exactly the artifacts"):
+            Annotator.load(target)
+        del manifest["params"]
+        (target / MANIFEST_FILE).write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=r"lacks \['params'\]"):
+            Annotator.load(target)
 
     def test_loading_a_non_bundle_directory_fails(self, tmp_path):
         with pytest.raises(BundleError, match="manifest"):

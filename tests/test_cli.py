@@ -281,3 +281,17 @@ class TestTune:
         board = (run / "scoreboard.tsv").read_text().splitlines()
         assert board[0].startswith("alignment_min_identity")
         assert len(board) == 1 + 2 * 1 * 4  # identities x thresholds x precedences
+
+    def test_vector_table_missing_a_validation_id_is_an_error(
+        self, prepared, trained, tmp_path, capsys
+    ):
+        validation = prepared / "enzyme-or-not.test.tsv"
+        first = parse_flatfile(validation)[0][0].id
+        vectors_tsv = tmp_path / "vectors.tsv"
+        vectors_tsv.write_text("unrelated\t0.0\t1.0\n", encoding="utf-8")
+        code = main([
+            "tune", "--bundle", str(trained), "--validation", str(validation),
+            "--vectors", str(vectors_tsv), "--out", str(tmp_path / "tune"),
+        ])
+        assert code == EXIT_ERROR
+        assert f"error: record {first!r} has no vector" in capsys.readouterr().err

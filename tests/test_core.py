@@ -1,10 +1,15 @@
 import datetime
+import json
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ecann.core import (
     AMINO_ACIDS,
+    CONTAINER_MAGIC,
     ECNumber,
     ECParseError,
     LabelDictionary,
@@ -17,6 +22,8 @@ from ecann.core import (
     normalize_sequence,
     parse_ec,
     parse_ec_list,
+    read_container,
+    write_container,
 )
 
 
@@ -293,3 +300,104 @@ class TestPrediction:
                 ranked_ecs=((parse_ec("1.1.1.1"), 0.5),),
                 source=PredictionSource.EXTERNAL,
             )
+
+
+class _Damaged(ValueError):
+    pass
+
+
+def _arrays():
+    return {
+        "vectors": np.arange(15.0).reshape(5, 3),
+        "counts": np.array([3, -1, 7], dtype=np.int32),
+        "empty": np.zeros(0, dtype=np.uint32),
+        "links": np.array([4, 0, 2, 9, 1], dtype=np.uint32),
+    }
+
+
+def _raw_container(header: dict, rest: bytes) -> bytes:
+    raw = json.dumps(header).encode("ascii")
+    raw += b" " * (-len(raw) % 8)
+    return CONTAINER_MAGIC + struct.pack("<Q", len(raw)) + raw + rest
+
+
+class TestContainer:
+    META = {"tag": "t", "ids": ["a", "\u00e9"], "x": 0.1}
+
+    def test_round_trip_is_byte_identical_with_aligned_read_only_views(self, tmp_path):
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_container(p1, "demo", self.META, _arrays())
+        meta, arrays = read_container(p1, "demo", _Damaged)
+        assert meta == self.META
+        assert list(arrays) == list(_arrays())
+        blob = p1.read_bytes()
+        (head_len,) = struct.unpack_from("<Q", blob, 8)
+        offset = 16 + head_len
+        for name, want in _arrays().items():
+            got = arrays[name]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            offset += -offset % 8
+            assert blob[offset:offset + want.nbytes] == want.tobytes()
+            offset += want.nbytes
+        assert offset == len(blob)
+        write_container(p2, "demo", meta, arrays)
+        assert p2.read_bytes() == blob
+
+    def test_every_prefix_is_truncated_and_a_trailing_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_container(path, "demo", self.META, _arrays())
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(_Damaged, match="truncated"):
+                read_container(path, "demo", _Damaged)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(_Damaged, match="1 trailing bytes"):
+            read_container(path, "demo", _Damaged)
+
+    def test_wrong_kind_and_wrong_magic_are_rejected(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_container(path, "demo", {}, {})
+        with pytest.raises(_Damaged, match="holds 'demo', not 'other'"):
+            read_container(path, "other", _Damaged)
+        path.write_bytes(b"X" + path.read_bytes()[1:])
+        with pytest.raises(_Damaged, match="not an ecann container"):
+            read_container(path, "demo", _Damaged)
+
+    def test_only_three_dtypes_are_written_or_read(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="dtype"):
+            write_container(path, "demo", {}, {"big": np.zeros(2, dtype=np.int64)})
+        header = {"kind": "demo", "meta": {},
+                  "arrays": [{"name": "big", "dtype": "<i8", "shape": [2]}]}
+        path.write_bytes(_raw_container(header, bytes(16)))
+        with pytest.raises(_Damaged, match="bad array entry"):
+            read_container(path, "demo", _Damaged)
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "v", "dtype": "<f8", "shape": [-1]},
+        {"name": "v", "dtype": "<f8", "shape": [1.0]},
+        {"name": "v", "dtype": "<f8"},
+        {"dtype": "<f8", "shape": [1]},
+    ])
+    def test_malformed_array_entries_are_rejected(self, tmp_path, spec):
+        path = tmp_path / "a.bin"
+        path.write_bytes(_raw_container({"kind": "demo", "meta": {}, "arrays": [spec]}, bytes(8)))
+        with pytest.raises(_Damaged, match="bad array entry"):
+            read_container(path, "demo", _Damaged)
+
+    def test_huge_shape_fails_truncated_before_allocating(self, tmp_path):
+        path = tmp_path / "a.bin"
+        header = {"kind": "demo", "meta": {},
+                  "arrays": [{"name": "v", "dtype": "<f8", "shape": [2**40, 2**20]}]}
+        path.write_bytes(_raw_container(header, bytes(64)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Damaged, match="truncated"):
+                read_container(path, "demo", _Damaged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

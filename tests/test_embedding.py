@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ecann.core import AMINO_ACIDS
+from ecann.core import AMINO_ACIDS, CONTAINER_MAGIC
 from ecann.embedding import (
     EmbeddingError,
     EmbeddingTable,
@@ -64,6 +67,19 @@ class TestEmbeddingTable:
             one_hot_table([("A", "MK"), ("A", "VL")], max_len=4)
 
 
+def _split_container(blob: bytes) -> tuple[dict, bytes]:
+    """A container's JSON header and the bytes after it."""
+    (head_len,) = struct.unpack_from("<Q", blob, len(CONTAINER_MAGIC))
+    start = len(CONTAINER_MAGIC) + 8
+    return json.loads(blob[start:start + head_len]), blob[start + head_len:]
+
+
+def _join_container(header: dict, rest: bytes) -> bytes:
+    raw = json.dumps(header).encode("ascii")
+    raw += b" " * (-len(raw) % 8)
+    return CONTAINER_MAGIC + struct.pack("<Q", len(raw)) + raw + rest
+
+
 class TestTableIo:
     def make_table(self):
         rng = np.random.default_rng(0)
@@ -113,14 +129,52 @@ class TestTableIo:
                 load_embedding_table(path)
 
     @pytest.mark.parametrize("dim, match", [
-        (2**32 - 1, "truncated"),  # 32 GiB rows: fail before reading any
-        (0, "dim must be positive"),  # zero-width rows would never run out
+        (2**32 - 1, "truncated"),  # 32 GiB of rows: fail before making any view
+        (0, "dim must be positive"),  # a consistent container of zero-width rows
     ])
     def test_corrupt_dim_fails_before_reading_rows(self, tmp_path, dim, match):
         path = tmp_path / "a.bin"
         save_embedding_table(self.make_table(), path)
-        blob = bytearray(path.read_bytes())
-        blob[13:17] = dim.to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
+        header, rows = _split_container(path.read_bytes())
+        assert header["arrays"] == [{"dtype": "<f8", "name": "vectors", "shape": [5, 7]}]
+        header["arrays"][0]["shape"][1] = dim
+        path.write_bytes(_join_container(header, rows[: 5 * dim * 8]))
         with pytest.raises(EmbeddingError, match=match):
+            load_embedding_table(path)
+
+    def test_corrupt_row_count_fails_before_reading_rows(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        header, rows = _split_container(path.read_bytes())
+        header["arrays"][0]["shape"][0] = 2**40
+        path.write_bytes(_join_container(header, rows))
+        with pytest.raises(EmbeddingError, match="truncated"):
+            load_embedding_table(path)
+
+    def test_trailing_byte_is_a_named_error(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(EmbeddingError, match="trailing"):
+            load_embedding_table(path)
+
+    def test_ids_must_match_the_rows(self, tmp_path):
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        header, rows = _split_container(path.read_bytes())
+        header["meta"]["ids"][1] = header["meta"]["ids"][0]
+        path.write_bytes(_join_container(header, rows))
+        with pytest.raises(EmbeddingError, match="duplicate"):
+            load_embedding_table(path)
+        header["meta"]["ids"].pop()
+        path.write_bytes(_join_container(header, rows))
+        with pytest.raises(EmbeddingError, match="4 ids"):
+            load_embedding_table(path)
+
+    def test_old_binary_layout_is_a_named_error(self, tmp_path):
+        # The retired ECEMB1 layout: magic, <IHIQH head, tag, padded id, raw rows.
+        path = tmp_path / "old.bin"
+        head = b"ECEMB1\n" + struct.pack("<IHIQH", 1, 6, 7, 1, 2) + b"custom"
+        path.write_bytes(head + b"P0" + np.arange(7.0).tobytes())
+        with pytest.raises(EmbeddingError, match="neither an ecann container nor a UTF-8"):
             load_embedding_table(path)

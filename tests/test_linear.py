@@ -1,21 +1,16 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ecann.linear import (
-    LinearFormatError,
     LinearModel,
     TrainMeta,
     decision,
     decision_many,
     l2svm_primal_objective,
-    read_model,
     sigmoid,
     sparsify,
     train_l2svm,
-    write_model,
 )
 
 
@@ -275,7 +270,6 @@ class TestSparsify:
     def make_model(self):
         meta = TrainMeta(1, True, 0.0, (0.0,), 1.0)
         return LinearModel(
-            kind="l2svm",
             dim=5,
             indices=np.array([0, 2, 4], dtype=np.int32),
             values=np.array([1e-9, 0.5, -1e-8]),
@@ -306,7 +300,7 @@ class TestSparsify:
         nz = np.nonzero(w)[0]
         meta = TrainMeta(1, True, 0.0, (), 1.0)
         model = LinearModel(
-            kind="l2svm", dim=8, indices=nz.astype(np.int32), values=w[nz],
+            dim=8, indices=nz.astype(np.int32), values=w[nz],
             bias=0.1, meta=meta,
         )
         out = sparsify(model, floor)
@@ -320,53 +314,3 @@ class TestDecision:
         model = train_l2svm(pos, neg)
         with pytest.raises(ValueError, match="dim"):
             decision(model, np.zeros(5))
-
-
-def _serialized(model):
-    fh = io.BytesIO()
-    write_model(fh, model)
-    return fh.getvalue()
-
-
-class TestSerialization:
-    def test_round_trip_byte_identical(self):
-        pos, neg = separable_blobs(seed=12)
-        model = train_l2svm(pos, neg, C=1.0)
-        blob = _serialized(model)
-        loaded = read_model(io.BytesIO(blob))
-        assert loaded.kind == model.kind
-        assert np.array_equal(loaded.indices, model.indices)
-        assert np.array_equal(loaded.values, model.values)
-        assert loaded.bias == model.bias
-        assert loaded.meta == model.meta
-        assert _serialized(loaded) == blob
-
-    def test_unknown_kind_code_rejected(self):
-        pos, neg = separable_blobs(seed=13)
-        blob = bytearray(_serialized(train_l2svm(pos, neg)))
-        assert blob[0] == 0  # the kind code: l2svm
-        blob[0] = 1
-        with pytest.raises(LinearFormatError, match="kind code 1"):
-            read_model(io.BytesIO(bytes(blob)))
-
-    @given(
-        st.integers(1, 6),
-        st.lists(st.floats(-5, 5, allow_nan=False).filter(bool), max_size=4),
-        st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=3),
-    )
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_every_truncation_and_padding_is_a_named_error(self, dim, values, curve):
-        values = values[:dim]
-        meta = TrainMeta(3, True, 0.5, tuple(curve), 1.0)
-        model = LinearModel(
-            kind="l2svm", dim=dim, indices=np.arange(len(values), dtype=np.int32),
-            values=np.asarray(values, dtype=np.float64), bias=0.25, meta=meta,
-        )
-        blob = _serialized(model)
-        for cut in range(len(blob)):
-            with pytest.raises(LinearFormatError, match="truncated"):
-                read_model(io.BytesIO(blob[:cut]))
-        # read_model consumes exactly one model, so a caller sees any padding.
-        padded = io.BytesIO(blob + b"\0")
-        assert np.array_equal(read_model(padded).values, model.values)
-        assert padded.read() == b"\0"

@@ -200,6 +200,7 @@ class TestHttpLifecycle:
             conn.endheaders()
             resp = conn.getresponse()
             assert resp.status == 400
+            assert resp.will_close
             assert "Content-Length" in json.loads(resp.read())["error"]
         finally:
             conn.close()
@@ -215,8 +216,8 @@ class TestHttpLifecycle:
             conn.endheaders()  # headers only: the server must not wait for a body
             resp = conn.getresponse()
             assert resp.status == 413
+            assert resp.will_close
             assert str(MAX_BODY_BYTES) in json.loads(resp.read())["error"]
-            assert conn.sock.recv(1) == b""  # the server closed the connection
         finally:
             conn.close()
         assert service.store.job_ids() == []
