@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,7 +61,7 @@ class AnnParams:
 
 
 def _distances(metric: str, matrix: np.ndarray, norms: np.ndarray, q: np.ndarray,
-               q_norm: float, idxs: np.ndarray) -> np.ndarray:
+               q_norm: float, idxs: Sequence[int]) -> np.ndarray:
     rows = matrix[idxs]  # a gathered copy, so it may be overwritten
     if metric == "euclidean":
         rows -= q
@@ -141,10 +141,10 @@ class AnnIndex:
         return int(-np.log(u) * self.params.level_scale)
 
     def _dist_many(self, q: np.ndarray, q_norm: float, idxs: Sequence[int]) -> np.ndarray:
-        return _distances(
-            self.params.metric, self._matrix, self._norms, q, q_norm,
-            np.asarray(idxs, dtype=np.intp),
-        )
+        return _distances(self.params.metric, self._matrix, self._norms, q, q_norm, idxs)
+
+    def _norm_of(self, node: int) -> float:
+        return self._norms[node] if self.params.metric == "cosine" else 1.0
 
     def _q_norm(self, q: np.ndarray) -> float:
         if self.params.metric != "cosine":
@@ -187,28 +187,23 @@ class AnnIndex:
         """Spread-preserving selection: keep a candidate only if it is
         closer to the query than to every neighbour already kept, then
         backfill with the nearest pruned candidates up to m."""
+        nodes = [node for _, node in candidates]
+        # nearest[i]: distance from candidate i to the closest node kept so
+        # far; each kept node updates it for every later candidate at once.
+        nearest = np.full(len(nodes), np.inf)
         selected: list[int] = []
-        selected_d: list[float] = []
-        pruned: list[tuple[float, int]] = []
-        for d, node in candidates:
+        pruned: list[int] = []
+        for i, (d, node) in enumerate(candidates):
             if len(selected) >= m:
                 break
-            if selected:
-                to_sel = self._dist_many(
-                    self._matrix[node],
-                    self._norms[node] if self.params.metric == "cosine" else 1.0,
-                    selected,
-                )
-                if np.any(to_sel < d):
-                    pruned.append((d, node))
-                    continue
+            if nearest[i] < d:
+                pruned.append(node)
+                continue
             selected.append(node)
-            selected_d.append(d)
-        for d, node in pruned:
-            if len(selected) >= m:
-                break
-            selected.append(node)
-        return selected
+            if len(selected) < m and i + 1 < len(nodes):
+                to_rest = self._dist_many(self._matrix[node], self._norm_of(node), nodes[i + 1:])
+                np.minimum(nearest[i + 1:], to_rest, out=nearest[i + 1:])
+        return selected + pruned[: m - len(selected)]
 
     def _insert(self, rec_id: str, vec: np.ndarray) -> None:
         node = len(self.ids)
@@ -223,7 +218,7 @@ class AnnIndex:
         if self.entry < 0:
             self.entry, self.top_level = node, level
             return
-        q_norm = self._norms[node] if self.params.metric == "cosine" else 1.0
+        q_norm = self._norm_of(node)
         eps = [self.entry]
         for layer in range(self.top_level, level, -1):
             eps = [self._search_layer(vec, q_norm, eps, 1, layer)[0][1]]
@@ -236,8 +231,7 @@ class AnnIndex:
                 links = self.graph[nb][layer]
                 links.append(node)
                 if len(links) > cap:
-                    nb_norm = self._norms[nb] if self.params.metric == "cosine" else 1.0
-                    dists = self._dist_many(self._matrix[nb], nb_norm, links)
+                    dists = self._dist_many(self._matrix[nb], self._norm_of(nb), links)
                     ranked = sorted(zip(dists.tolist(), links))
                     self.graph[nb][layer] = self._select_neighbors(ranked, cap)
             eps = [n for _, n in found]
@@ -273,29 +267,56 @@ class AnnIndex:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Degree caps, layer membership, and link sanity for every node."""
+        """Degree caps, layer membership, and link sanity for every node.
+
+        The checks run on flat arrays of every adjacency list; the first
+        fault, in node then layer then link order, is then walked in
+        Python to name it.
+        """
         n = len(self.ids)
-        for node in range(n):
-            if len(self.graph[node]) != self.levels[node] + 1:
-                raise AssertionError(f"node {node}: layer list does not match its level")
-            for layer, links in enumerate(self.graph[node]):
-                if len(links) > self.params.max_degree(layer):
-                    raise AssertionError(
-                        f"node {node} layer {layer}: degree {len(links)} exceeds "
-                        f"{self.params.max_degree(layer)}"
-                    )
-                for nb in links:
-                    if not 0 <= nb < n:
-                        raise AssertionError(f"node {node}: neighbour {nb} out of range")
-                    if nb == node:
-                        raise AssertionError(f"node {node}: self link on layer {layer}")
-                    if self.levels[nb] < layer:
-                        raise AssertionError(
-                            f"edge {node}->{nb} on layer {layer} but neighbour "
-                            f"only reaches layer {self.levels[nb]}"
-                        )
+        levels = np.asarray(self.levels, dtype=np.int64)
+        depth = np.array([len(self.graph[node]) for node in range(n)], dtype=np.int64)
+        mismatched = np.flatnonzero(depth != levels + 1)
+        stop = int(mismatched[0]) if len(mismatched) else n  # nodes checked link by link
+        depth = depth[:stop]
+        lists = [links for node in range(stop) for links in self.graph[node]]
+        slot_node = np.repeat(np.arange(stop), depth)
+        slot_layer = np.arange(len(lists)) - np.repeat(np.cumsum(depth) - depth, depth)
+        sizes = np.array([len(links) for links in lists], dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum()))
+        link_slot = np.repeat(np.arange(len(lists)), sizes)
+        in_range = (flat >= 0) & (flat < n)
+        bad_link = (~in_range | (flat == slot_node[link_slot])
+                    | (levels[np.where(in_range, flat, 0)] < slot_layer[link_slot]))
+        caps = np.where(slot_layer == 0, self.params.max_degree(0), self.params.max_degree(1))
+        bad_slot = sizes > caps
+        bad_slot[link_slot[bad_link]] = True
+        faulty = np.flatnonzero(bad_slot)
+        if len(faulty):
+            slot = int(faulty[0])
+            self._raise_list_fault(int(slot_node[slot]), int(slot_layer[slot]), lists[slot])
+        if stop < n:
+            raise AssertionError(f"node {stop}: layer list does not match its level")
         if n and not (0 <= self.entry < n and self.levels[self.entry] == self.top_level):
             raise AssertionError("entry point does not match the top level")
+
+    def _raise_list_fault(self, node: int, layer: int, links: list[int]) -> None:
+        n = len(self.ids)
+        if len(links) > self.params.max_degree(layer):
+            raise AssertionError(
+                f"node {node} layer {layer}: degree {len(links)} exceeds "
+                f"{self.params.max_degree(layer)}"
+            )
+        for nb in links:
+            if not 0 <= nb < n:
+                raise AssertionError(f"node {node}: neighbour {nb} out of range")
+            if nb == node:
+                raise AssertionError(f"node {node}: self link on layer {layer}")
+            if self.levels[nb] < layer:
+                raise AssertionError(
+                    f"edge {node}->{nb} on layer {layer} but neighbour "
+                    f"only reaches layer {self.levels[nb]}"
+                )
 
     # -- serialization ---------------------------------------------------------
 
