@@ -45,6 +45,8 @@ __all__ = [
     "EcRankerParams",
     "EcRanker",
     "MAX_RECOMMENDATIONS",
+    "save_classifiers",
+    "load_classifiers",
 ]
 
 logger = logging.getLogger(__name__)
@@ -56,6 +58,37 @@ _CLASSIFIERS_KIND = "ranker-classifiers"
 
 class AgentError(ValueError):
     """Invalid agent inputs: coverage gaps, label-range or task violations."""
+
+
+def save_classifiers(path: str | Path, classifiers: dict[int, LinearModel]) -> None:
+    """Write per-label classifiers as one container: each model's scalars in
+    the meta, its arrays named ``<label>.indices``/``.values``/``.curve``."""
+    models, arrays = [], {}
+    for label, clf in sorted(classifiers.items()):
+        scalars = {k: v for k, v in asdict(clf.meta).items() if k != "objective_curve"}
+        models.append({"label": label, "dim": clf.dim, "bias": clf.bias, **scalars})
+        arrays[f"{label}.indices"] = clf.indices
+        arrays[f"{label}.values"] = clf.values
+        arrays[f"{label}.curve"] = np.asarray(clf.meta.objective_curve, dtype=np.float64)
+    write_container(path, _CLASSIFIERS_KIND, {"models": models}, arrays)
+
+
+def load_classifiers(path: str | Path) -> dict[int, LinearModel]:
+    """Read a :func:`save_classifiers` file; any damage raises AgentError."""
+    stored, arrays = read_container(path, _CLASSIFIERS_KIND, AgentError)
+    classifiers: dict[int, LinearModel] = {}
+    try:
+        for model in stored["models"]:
+            label, dim, bias = model.pop("label"), model.pop("dim"), model.pop("bias")
+            curve = tuple(arrays[f"{label}.curve"].tolist())
+            classifiers[label] = LinearModel(
+                dim=dim, indices=arrays[f"{label}.indices"],
+                values=arrays[f"{label}.values"], bias=bias,
+                meta=TrainMeta(objective_curve=curve, **model),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AgentError(f"{path}: bad ranker classifier: {exc}") from exc
+    return classifiers
 
 
 class RankingMode(str, Enum):
@@ -410,16 +443,7 @@ class EcRanker:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.index.save(directory / "ranker_index.bin")
-        models, arrays = [], {}
-        for label, clf in sorted(self.classifiers.items()):
-            scalars = {k: v for k, v in asdict(clf.meta).items() if k != "objective_curve"}
-            models.append({"label": label, "dim": clf.dim, "bias": clf.bias, **scalars})
-            arrays[f"{label}.indices"] = clf.indices
-            arrays[f"{label}.values"] = clf.values
-            arrays[f"{label}.curve"] = np.asarray(clf.meta.objective_curve, dtype=np.float64)
-        write_container(
-            directory / "ranker_classifiers.bin", _CLASSIFIERS_KIND, {"models": models}, arrays
-        )
+        save_classifiers(directory / "ranker_classifiers.bin", self.classifiers)
         meta = {
             "format": "ec-ranker",
             "version": 1,
@@ -449,18 +473,5 @@ class EcRanker:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise AgentError(f"{directory}: bad EC-ranker payload: {exc}") from exc
         index = AnnIndex.load(directory / "ranker_index.bin")
-        path = directory / "ranker_classifiers.bin"
-        stored, arrays = read_container(path, _CLASSIFIERS_KIND, AgentError)
-        classifiers: dict[int, LinearModel] = {}
-        try:
-            for model in stored["models"]:
-                label, dim, bias = model.pop("label"), model.pop("dim"), model.pop("bias")
-                curve = tuple(arrays[f"{label}.curve"].tolist())
-                classifiers[label] = LinearModel(
-                    dim=dim, indices=arrays[f"{label}.indices"],
-                    values=arrays[f"{label}.values"], bias=bias,
-                    meta=TrainMeta(objective_curve=curve, **model),
-                )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise AgentError(f"{path}: bad ranker classifier: {exc}") from exc
+        classifiers = load_classifiers(directory / "ranker_classifiers.bin")
         return cls(label_dict, classifiers, index, label_of_point, params, negatives_used)

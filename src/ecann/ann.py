@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -267,56 +267,29 @@ class AnnIndex:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Degree caps, layer membership, and link sanity for every node.
-
-        The checks run on flat arrays of every adjacency list; the first
-        fault, in node then layer then link order, is then walked in
-        Python to name it.
-        """
+        """Degree caps, layer membership, and link sanity for every node."""
         n = len(self.ids)
-        levels = np.asarray(self.levels, dtype=np.int64)
-        depth = np.array([len(self.graph[node]) for node in range(n)], dtype=np.int64)
-        mismatched = np.flatnonzero(depth != levels + 1)
-        stop = int(mismatched[0]) if len(mismatched) else n  # nodes checked link by link
-        depth = depth[:stop]
-        lists = [links for node in range(stop) for links in self.graph[node]]
-        slot_node = np.repeat(np.arange(stop), depth)
-        slot_layer = np.arange(len(lists)) - np.repeat(np.cumsum(depth) - depth, depth)
-        sizes = np.array([len(links) for links in lists], dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum()))
-        link_slot = np.repeat(np.arange(len(lists)), sizes)
-        in_range = (flat >= 0) & (flat < n)
-        bad_link = (~in_range | (flat == slot_node[link_slot])
-                    | (levels[np.where(in_range, flat, 0)] < slot_layer[link_slot]))
-        caps = np.where(slot_layer == 0, self.params.max_degree(0), self.params.max_degree(1))
-        bad_slot = sizes > caps
-        bad_slot[link_slot[bad_link]] = True
-        faulty = np.flatnonzero(bad_slot)
-        if len(faulty):
-            slot = int(faulty[0])
-            self._raise_list_fault(int(slot_node[slot]), int(slot_layer[slot]), lists[slot])
-        if stop < n:
-            raise AssertionError(f"node {stop}: layer list does not match its level")
+        for node in range(n):
+            if len(self.graph[node]) != self.levels[node] + 1:
+                raise AssertionError(f"node {node}: layer list does not match its level")
+            for layer, links in enumerate(self.graph[node]):
+                if len(links) > self.params.max_degree(layer):
+                    raise AssertionError(
+                        f"node {node} layer {layer}: degree {len(links)} exceeds "
+                        f"{self.params.max_degree(layer)}"
+                    )
+                for nb in links:
+                    if not 0 <= nb < n:
+                        raise AssertionError(f"node {node}: neighbour {nb} out of range")
+                    if nb == node:
+                        raise AssertionError(f"node {node}: self link on layer {layer}")
+                    if self.levels[nb] < layer:
+                        raise AssertionError(
+                            f"edge {node}->{nb} on layer {layer} but neighbour "
+                            f"only reaches layer {self.levels[nb]}"
+                        )
         if n and not (0 <= self.entry < n and self.levels[self.entry] == self.top_level):
             raise AssertionError("entry point does not match the top level")
-
-    def _raise_list_fault(self, node: int, layer: int, links: list[int]) -> None:
-        n = len(self.ids)
-        if len(links) > self.params.max_degree(layer):
-            raise AssertionError(
-                f"node {node} layer {layer}: degree {len(links)} exceeds "
-                f"{self.params.max_degree(layer)}"
-            )
-        for nb in links:
-            if not 0 <= nb < n:
-                raise AssertionError(f"node {node}: neighbour {nb} out of range")
-            if nb == node:
-                raise AssertionError(f"node {node}: self link on layer {layer}")
-            if self.levels[nb] < layer:
-                raise AssertionError(
-                    f"edge {node}->{nb} on layer {layer} but neighbour "
-                    f"only reaches layer {self.levels[nb]}"
-                )
 
     # -- serialization ---------------------------------------------------------
 
@@ -339,30 +312,22 @@ class AnnIndex:
         """Read a saved index; any damage raises :class:`AnnFormatError`."""
         meta, arrays = read_container(path, _KIND, AnnFormatError)
         try:
-            index = cls._from_container(meta, arrays)
+            ids, vectors, links = meta["ids"], arrays["vectors"], arrays["links"]
+            levels, degrees = arrays["levels"].tolist(), arrays["degrees"].tolist()
+            if vectors.ndim != 2 or not len(ids) == len(levels) == len(vectors):
+                raise AnnFormatError("ids, levels and vectors disagree on the node count")
+            if len(degrees) != len(levels) + sum(levels) or sum(degrees) != len(links):
+                raise AnnFormatError("degrees disagree with the levels or the links")
+            index = cls(AnnParams(**meta["params"]), vectors.shape[1])
+            index.ids = list(ids)
+            index.levels = levels
+            index._matrix = vectors
+            index._norms = np.linalg.norm(vectors, axis=1)
+            index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
+            index.entry, index.top_level = meta["entry"], meta["top_level"]
             index.validate()
         except (AssertionError, KeyError, TypeError, ValueError) as exc:
             raise AnnFormatError(f"{path}: {exc}") from exc
-        return index
-
-    @classmethod
-    def _from_container(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "AnnIndex":
-        vectors = arrays["vectors"]
-        levels = arrays["levels"].tolist()
-        degrees = arrays["degrees"].tolist()
-        links = arrays["links"]
-        ids = meta["ids"]
-        if vectors.ndim != 2 or not len(ids) == len(levels) == len(vectors):
-            raise AnnFormatError("ids, levels and vectors disagree on the node count")
-        if len(degrees) != len(levels) + sum(levels) or sum(degrees) != len(links):
-            raise AnnFormatError("degrees disagree with the levels or the links")
-        index = cls(AnnParams(**meta["params"]), vectors.shape[1])
-        index.ids = list(ids)
-        index.levels = levels
-        index._matrix = vectors
-        index._norms = np.linalg.norm(vectors, axis=1)
-        index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
-        index.entry, index.top_level = meta["entry"], meta["top_level"]
         return index
 
 

@@ -372,7 +372,7 @@ def read_container(path: str | Path, kind: str, error: type[ValueError]) -> tupl
     try:
         header = json.loads(data[_PREFIX.size:offset].decode("ascii"))
         got, meta, specs = header["kind"], header["meta"], list(header["arrays"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise error(f"{path}: bad container header: {exc}") from None
     if got != kind:
         raise error(f"{path}: holds {got!r}, not {kind!r}")

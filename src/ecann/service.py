@@ -264,7 +264,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, code: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("ascii")
         self.send_response(code)
-        if close:  # send_header also sets self.close_connection
+        if close:
+            self.close_connection = True
             self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -388,6 +388,13 @@ class TestContainer:
         with pytest.raises(_Damaged, match="bad array entry"):
             read_container(path, "demo", _Damaged)
 
+    def test_deeply_nested_header_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "a.bin"
+        raw = b"[" * 100_000
+        path.write_bytes(CONTAINER_MAGIC + struct.pack("<Q", len(raw)) + raw)
+        with pytest.raises(_Damaged, match="bad container header"):
+            read_container(path, "demo", _Damaged)
+
     def test_huge_shape_fails_truncated_before_allocating(self, tmp_path):
         path = tmp_path / "a.bin"
         header = {"kind": "demo", "meta": {},

@@ -1,10 +1,8 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ecann.core import read_container, write_container
+from ecann.agents import load_classifiers, save_classifiers
 from ecann.linear import (
     LinearModel,
     TrainMeta,
@@ -319,35 +317,18 @@ class TestDecision:
             decision(model, np.zeros(5))
 
 
-def _save(model, path):
-    """One model in the shared container, laid out as the ranker stores each."""
-    scalars = {k: v for k, v in asdict(model.meta).items() if k != "objective_curve"}
-    write_container(path, "linear-model", {"dim": model.dim, "bias": model.bias, **scalars}, {
-        "indices": model.indices,
-        "values": model.values,
-        "curve": np.asarray(model.meta.objective_curve, dtype=np.float64),
-    })
-
-
-def _load(path):
-    meta, arrays = read_container(path, "linear-model", ValueError)
-    dim, bias = meta.pop("dim"), meta.pop("bias")
-    curve = tuple(arrays["curve"].tolist())
-    return LinearModel(dim=dim, indices=arrays["indices"], values=arrays["values"],
-                       bias=bias, meta=TrainMeta(objective_curve=curve, **meta))
-
-
 class TestSerialization:
     def test_round_trip_byte_identical(self, tmp_path):
         pos, neg = separable_blobs(seed=12)
         model = train_l2svm(pos, neg, C=1.0)
-        _save(model, tmp_path / "a.bin")
-        loaded = _load(tmp_path / "a.bin")
+        save_classifiers(tmp_path / "a.bin", {3: model})
+        (label, loaded), = load_classifiers(tmp_path / "a.bin").items()
+        assert label == 3
         assert loaded.dim == model.dim
         assert loaded.indices.dtype == np.int32
         assert np.array_equal(loaded.indices, model.indices)
         assert np.array_equal(loaded.values, model.values)
         assert loaded.bias == model.bias
         assert loaded.meta == model.meta
-        _save(loaded, tmp_path / "b.bin")
+        save_classifiers(tmp_path / "b.bin", {3: loaded})
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

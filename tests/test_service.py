@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -220,6 +221,16 @@ class TestHttpLifecycle:
             assert str(MAX_BODY_BYTES) in json.loads(resp.read())["error"]
         finally:
             conn.close()
+        # On a raw socket: the server answers and then closes, so unread body
+        # bytes can never be parsed as a new request.
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close\r\n" in reply
         assert service.store.job_ids() == []
         assert _get(server, "/healthz")[0] == 200  # a new connection is served
 
