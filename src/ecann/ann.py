@@ -61,7 +61,7 @@ class AnnParams:
 
 
 def _distances(metric: str, matrix: np.ndarray, norms: np.ndarray, q: np.ndarray,
-               q_norm: float, idxs: Sequence[int]) -> np.ndarray:
+               q_norm: float, idxs: np.ndarray) -> np.ndarray:
     rows = matrix[idxs]  # a gathered copy, so it may be overwritten
     if metric == "euclidean":
         rows -= q
@@ -141,7 +141,10 @@ class AnnIndex:
         return int(-np.log(u) * self.params.level_scale)
 
     def _dist_many(self, q: np.ndarray, q_norm: float, idxs: Sequence[int]) -> np.ndarray:
-        return _distances(self.params.metric, self._matrix, self._norms, q, q_norm, idxs)
+        return _distances(
+            self.params.metric, self._matrix, self._norms, q, q_norm,
+            np.asarray(idxs, dtype=np.intp),
+        )
 
     def _norm_of(self, node: int) -> float:
         return self._norms[node] if self.params.metric == "cosine" else 1.0
