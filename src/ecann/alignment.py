@@ -15,6 +15,13 @@ version is checked against).  Both resolve ties identically — the best cell is
 the first maximum in row-major order, and traceback prefers stop, then
 diagonal, then vertical gap, then horizontal gap — so on pairs whose optimal
 path stays inside the band they agree exactly, not just on score.
+
+The banded kernel keeps the band in diagonal coordinates, slot ``t = j - i + w``
+of row ``i``: a cell's diagonal, vertical and horizontal neighbours are slots
+``t`` and ``t + 1`` of the previous row and ``t - 1`` of its own, so each DP row
+is about ten in-place NumPy calls on preallocated int32 H/E/F planes.  The best
+cell is one ``argmax``; the traceback walks only the path, re-deriving each
+step from the planes.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ __all__ = [
 ]
 
 _NEG = -(1 << 40)  # forbidden-cell sentinel; far below any reachable score
+# int32 band planes: _BAND_LIMIT keeps scores far from the sentinel and overflow
+_BAND_NEG = -(1 << 29)
+_BAND_LIMIT = 1 << 28
 
 
 class AlignmentError(ValueError):
@@ -112,106 +122,88 @@ def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams
 
     Out-of-band cells are unreachable, so the result is a lower bound on the
     unrestricted optimum and equals it whenever the optimal path fits in the
-    band.
+    band.  Planes are int32: a pair with ``(len(a) + len(b) + 4w + 4) *
+    max(|match|, |mismatch|, gap_open) >= 2**28`` raises AlignmentError (with the
+    default scores, lengths summing to under four million residues always fit).
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return _EMPTY
-    w = params.band_half_width(n, m)
+    # |j - i| < max(n, m) on every cell, so a wider band adds only dead slots
+    w = min(params.band_half_width(n, m), max(n, m) - 1)
     match, mismatch = params.match, params.mismatch
     open_, ext = params.gap_open, params.gap_extend
+    if (n + m + 4 * w + 4) * max(abs(match), abs(mismatch), open_, 1) >= _BAND_LIMIT:
+        raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
+    width = 2 * w + 1
 
-    a_codes = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
-    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    # Row i's slot t holds column j = t + i - w; codes[k] is column k - w, with
+    # -2 on column 0 (the empty-prefix boundary) and -1 off the matrix.
+    codes = np.full(n + width, -1, dtype=np.int16)
+    codes[w] = -2
+    codes[w + 1 : w + 1 + m] = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    window = np.lib.stride_tricks.sliding_window_view(codes, width)[1 : n + 1]
+    a_codes = np.frombuffer(a.encode("ascii"), dtype=np.uint8)[:, None]
+    sub = np.where(window == a_codes, np.int32(match), np.int32(mismatch))
+    np.putmask(sub, window < 0, _BAND_NEG)
+    floor = np.where(window == -1, np.int32(_BAND_NEG), np.int32(0))
 
-    # row 0 is the empty-prefix boundary: an alignment may start anywhere
-    h_prev = np.zeros(m + 1, dtype=np.int64)
-    f_prev = np.full(m + 1, _NEG, dtype=np.int64)
-
-    best_score, best_i, best_j = 0, 0, 0
-    # per-row traceback planes over the band: (jlo, h-source, e-source, f-source)
-    empty_plane = np.empty(0, np.int8)
-    rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [(0, empty_plane, empty_plane, empty_plane)]
-
+    # slot 2w + 1 is only read as a vertical neighbour; it is off the band below row 0
+    h = np.full((n + 1, width + 1), _BAND_NEG, dtype=np.int32)
+    e = np.full_like(h, _BAND_NEG)
+    f = np.full_like(h, _BAND_NEG)
+    h[0, w : w + m + 1] = 0
+    ramp = np.arange(width, dtype=np.int32) * ext
+    e_offset = ramp[:-1] + open_  # open + (t - 1) * ext for t >= 1
+    scan = np.empty(width, dtype=np.int32)
+    h_rows, e_rows, f_rows = h[:, :width], e[:, 1:width], f[:, :width]
+    h_up, f_up = h[:, 1:], f[:, 1:]
     for i in range(1, n + 1):
-        jlo = max(1, i - w)
-        jhi = min(m, i + w)
-        if jlo > jhi:
-            rows.append((jlo, empty_plane, empty_plane, empty_plane))
-            h_prev = np.full(m + 1, _NEG, dtype=np.int64)
-            h_prev[0] = 0
-            f_prev = np.full(m + 1, _NEG, dtype=np.int64)
-            continue
-        cols = np.arange(jlo, jhi + 1)
-        sub = np.where(b_codes[cols - 1] == a_codes[i - 1], match, mismatch).astype(np.int64)
-        diag = h_prev[cols - 1] + sub
-        f_cur = np.maximum(h_prev[cols] - open_, f_prev[cols] - ext)
-        h_no_e = np.maximum(0, np.maximum(diag, f_cur))
-        # horizontal gaps in one scan: max over j' < j of h[j'] - open - (j-1-j')*ext
-        run = np.maximum.accumulate(h_no_e + cols * ext)
-        e_cur = np.empty_like(h_no_e)
-        e_cur[0] = _NEG
-        e_cur[1:] = run[:-1] - open_ - (cols[1:] - 1) * ext
-        h_cur = np.maximum(h_no_e, e_cur)
+        h_row, e_row, f_row = h_rows[i], e_rows[i], f_rows[i]
+        np.add(h_rows[i - 1], sub[i - 1], out=h_row)
+        np.subtract(h_up[i - 1], open_, out=scan)
+        np.subtract(f_up[i - 1], ext, out=f_row)
+        np.maximum(f_row, scan, out=f_row)
+        np.maximum(h_row, f_row, out=h_row)
+        np.maximum(h_row, floor[i - 1], out=h_row)
+        # horizontal gaps in one scan: max over t' < t of h[t'] - open - (t-1-t')*ext
+        np.add(h_row, ramp, out=scan)
+        np.maximum.accumulate(scan, out=scan)
+        np.subtract(scan[:-1], e_offset, out=e_row)
+        np.maximum(h_row[1:], e_row, out=h_row[1:])
 
-        ph = np.select(
-            [h_cur == 0, h_cur == diag, h_cur == f_cur, h_cur == e_cur],
-            [np.int8(0), np.int8(1), np.int8(2), np.int8(3)],
-        ).astype(np.int8)
-        left_h = np.empty_like(h_cur)
-        left_h[0] = _NEG
-        left_h[1:] = h_cur[:-1]
-        pe = (e_cur == left_h - open_).astype(np.int8)
-        pf = (f_cur == h_prev[cols] - open_).astype(np.int8)
-        rows.append((jlo, ph, pe, pf))
-
-        pos = int(np.argmax(h_cur))
-        if int(h_cur[pos]) > best_score:
-            best_score = int(h_cur[pos])
-            best_i, best_j = i, jlo + pos
-
-        nh = np.full(m + 1, _NEG, dtype=np.int64)
-        nf = np.full(m + 1, _NEG, dtype=np.int64)
-        nh[0] = 0
-        nh[cols] = h_cur
-        nf[cols] = f_cur
-        h_prev, f_prev = nh, nf
-
+    # Slots past column m can carry a gap out of a real cell but never beat the
+    # real cell it came from, which is earlier in row-major order.
+    i, t = divmod(int(np.argmax(h)), width + 1)
+    best_score = int(h[i, t])
     if best_score <= 0:
         return _EMPTY
 
-    def plane(i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        jlo, ph, pe, pf = rows[i]
-        return ph, pe, pf, j - jlo
-
+    # re-derive each step on the path: stop > diagonal > vertical > horizontal
     matches = columns = 0
-    i, j = best_i, best_j
     state = "H"
-    while True:
-        if i == 0 or j == 0:
-            break  # matrix edge: empty prefix, nothing left to trace
-        ph, pe, pf, off = plane(i, j)
+    while i > 0 and t + i - w > 0:
         if state == "H":
-            code = int(ph[off])
-            if code == 0:
+            here = int(h[i, t])
+            if here == 0:
                 break
-            if code == 1:
+            if here == int(h[i - 1, t]) + int(sub[i - 1, t]):
                 columns += 1
-                matches += a[i - 1] == b[j - 1]
+                matches += a[i - 1] == b[t + i - w - 1]
                 i -= 1
-                j -= 1
-            elif code == 2:
+            elif here == int(f[i, t]):
                 state = "F"
             else:
                 state = "E"
         elif state == "F":
             columns += 1
-            state = "H" if int(pf[off]) == 1 else "F"
+            state = "H" if int(f[i, t]) == int(h[i - 1, t + 1]) - open_ else "F"
             i -= 1
+            t += 1
         else:
             columns += 1
-            state = "H" if int(pe[off]) == 1 else "E"
-            j -= 1
+            state = "H" if int(e[i, t]) == int(h[i, t - 1]) - open_ else "E"
+            t -= 1
     return AlignmentResult(score=best_score, matches=matches, columns=columns)
 
 
@@ -334,9 +326,6 @@ class KmerIndex:
         k = self.params.k
         for kmer in {seq[p : p + k] for p in range(len(seq) - k + 1)}:
             self._postings.setdefault(kmer, []).append(idx)
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def candidates(self, query: str) -> list[int]:
         """Reference indices ranked by shared distinct k-mers, capped."""

@@ -36,7 +36,7 @@ from .agents import (
 )
 from .alignment import AlignmentParams, Hit, KmerIndex
 from .ann import AnnParams
-from .core import LabelDictionary, Prediction, ProteinRecord
+from .core import LabelDictionary, Prediction, PredictionSource, ProteinRecord
 from .dataset import parse_flatfile, validation_split, write_flatfile
 from .embedding import (
     EmbeddingTable,
@@ -149,7 +149,7 @@ def _fit_stack(
 
 
 class Annotator:
-    """A loaded bundle: embeds queries, runs every route, integrates."""
+    """A loaded bundle: embeds queries, runs only the route that answers, integrates."""
 
     def __init__(
         self,
@@ -225,8 +225,11 @@ class Annotator:
             raise BundleError(
                 f"query {query_id!r}: vector shape {vec.shape} != ({self.table.dim},)"
             )
-        outputs = self.agent_outputs(vec)
-        return integrate(query_id, outputs, self.best_hit(seq), self.policy, mode)
+        # the checks above stay eager: a bad query fails whichever route answers
+        hit = self.best_hit(seq) if self.policy.consults_alignment else None
+        agents_answer = self.policy.route_for(hit) is PredictionSource.AGENTS
+        outputs = self.agent_outputs(vec) if agents_answer else None
+        return integrate(query_id, outputs, hit, self.policy, mode)
 
     def annotate(
         self,

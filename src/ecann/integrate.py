@@ -69,6 +69,19 @@ class IntegrationPolicy:
             if route not in _ROUTES:
                 raise IntegrationError(f"unknown route {route!r}")
 
+    @property
+    def consults_alignment(self) -> bool:
+        """Whether :meth:`route_for` reads the hit: alignment precedes the agents."""
+        return self.precedence[0] is PredictionSource.ALIGNMENT
+
+    def route_for(self, hit: Optional[Hit]) -> Optional[PredictionSource]:
+        """The first route in precedence order that fires; None is an abstention."""
+        hit_fires = hit is not None and hit.identity >= self.alignment_min_identity
+        for route in self.precedence:
+            if route is PredictionSource.AGENTS or hit_fires:
+                return route
+        return None
+
     def to_dict(self) -> dict:
         return {
             "alignment_min_identity": self.alignment_min_identity,
@@ -122,41 +135,36 @@ def _transfer(query_id: str, hit: Hit) -> Prediction:
 
 def integrate(
     query_id: str,
-    outputs: AgentOutputs,
+    outputs: Optional[AgentOutputs],
     hit: Optional[Hit],
     policy: IntegrationPolicy,
     mode: RankingMode = RankingMode.PREDICTION,
 ) -> Prediction:
-    """Resolve one query. Pure in all arguments.
+    """Resolve one query by the route ``policy.route_for(hit)`` picks.
 
-    Routes are consulted in ``policy.precedence`` order; the first one
-    that fires decides.  If none fires the result is an abstention.
+    Pure in all arguments.  ``outputs`` is needed only when the agents answer.
     """
-    for route in policy.precedence:
-        if route is PredictionSource.ALIGNMENT:
-            if hit is not None and hit.identity >= policy.alignment_min_identity:
-                return _transfer(query_id, hit)
-        else:  # the agent route always resolves
-            non_enzyme = not outputs.is_enzyme
-            if non_enzyme and outputs.enzyme_confidence >= policy.agent1_threshold:
-                return Prediction(
-                    id=query_id,
-                    is_enzyme=False,
-                    ranked_ecs=(),
-                    source=PredictionSource.AGENTS,
-                )
-            if mode is RankingMode.RECOMMENDATION:
-                width = MAX_RECOMMENDATIONS
-            else:
-                width = outputs.count if policy.use_count_hint else 1
-            return Prediction(
-                id=query_id,
-                is_enzyme=True,
-                ranked_ecs=tuple(outputs.ranked_ecs[:width]),
-                source=PredictionSource.AGENTS,
-            )
+    route = policy.route_for(hit)
+    if route is PredictionSource.ALIGNMENT:
+        return _transfer(query_id, hit)
+    if route is None:
+        return Prediction(
+            id=query_id, is_enzyme=None, ranked_ecs=(), source=policy.precedence[-1]
+        )
+    if outputs is None:
+        raise IntegrationError(f"query {query_id!r}: the agents answer but no agent outputs given")
+    vetoed = not outputs.is_enzyme and outputs.enzyme_confidence >= policy.agent1_threshold
+    if vetoed:
+        width = 0
+    elif mode is RankingMode.RECOMMENDATION:
+        width = MAX_RECOMMENDATIONS
+    else:
+        width = outputs.count if policy.use_count_hint else 1
     return Prediction(
-        id=query_id, is_enzyme=None, ranked_ecs=(), source=policy.precedence[-1]
+        id=query_id,
+        is_enzyme=not vetoed,
+        ranked_ecs=tuple(outputs.ranked_ecs[:width]),
+        source=PredictionSource.AGENTS,
     )
 
 

@@ -1,14 +1,18 @@
 """Aligner tests: hand-scored pairs, band limits and retrieval."""
 
 import datetime as dt
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecann.alignment import (
     AlignmentError,
     AlignmentParams,
+    AlignmentResult,
     KmerIndex,
     banded_local_align,
     full_local_align,
@@ -16,6 +20,122 @@ from ecann.alignment import (
 from ecann.core import ProteinRecord, parse_ec_list
 
 ALPHA = "ACDEFGHIKLMNPQRSTVWY"
+
+_NEG = -(1 << 40)  # the oracle's forbidden-cell sentinel
+_EMPTY = AlignmentResult(score=0, matches=0, columns=0)
+
+
+def row_band_oracle(a: str, b: str, params: AlignmentParams = AlignmentParams()) -> AlignmentResult:
+    """The row-by-row banded aligner with traceback planes, kept verbatim as the
+    oracle for :func:`banded_local_align` on narrow bands.
+
+    Out-of-band cells are unreachable, so the result is a lower bound on the
+    unrestricted optimum and equals it whenever the optimal path fits in the
+    band.
+    """
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return _EMPTY
+    w = params.band_half_width(n, m)
+    match, mismatch = params.match, params.mismatch
+    open_, ext = params.gap_open, params.gap_extend
+
+    a_codes = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+
+    # row 0 is the empty-prefix boundary: an alignment may start anywhere
+    h_prev = np.zeros(m + 1, dtype=np.int64)
+    f_prev = np.full(m + 1, _NEG, dtype=np.int64)
+
+    best_score, best_i, best_j = 0, 0, 0
+    # per-row traceback planes over the band: (jlo, h-source, e-source, f-source)
+    empty_plane = np.empty(0, np.int8)
+    rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [(0, empty_plane, empty_plane, empty_plane)]
+
+    for i in range(1, n + 1):
+        jlo = max(1, i - w)
+        jhi = min(m, i + w)
+        if jlo > jhi:
+            rows.append((jlo, empty_plane, empty_plane, empty_plane))
+            h_prev = np.full(m + 1, _NEG, dtype=np.int64)
+            h_prev[0] = 0
+            f_prev = np.full(m + 1, _NEG, dtype=np.int64)
+            continue
+        cols = np.arange(jlo, jhi + 1)
+        sub = np.where(b_codes[cols - 1] == a_codes[i - 1], match, mismatch).astype(np.int64)
+        diag = h_prev[cols - 1] + sub
+        f_cur = np.maximum(h_prev[cols] - open_, f_prev[cols] - ext)
+        h_no_e = np.maximum(0, np.maximum(diag, f_cur))
+        # horizontal gaps in one scan: max over j' < j of h[j'] - open - (j-1-j')*ext
+        run = np.maximum.accumulate(h_no_e + cols * ext)
+        e_cur = np.empty_like(h_no_e)
+        e_cur[0] = _NEG
+        e_cur[1:] = run[:-1] - open_ - (cols[1:] - 1) * ext
+        h_cur = np.maximum(h_no_e, e_cur)
+
+        ph = np.select(
+            [h_cur == 0, h_cur == diag, h_cur == f_cur, h_cur == e_cur],
+            [np.int8(0), np.int8(1), np.int8(2), np.int8(3)],
+        ).astype(np.int8)
+        left_h = np.empty_like(h_cur)
+        left_h[0] = _NEG
+        left_h[1:] = h_cur[:-1]
+        pe = (e_cur == left_h - open_).astype(np.int8)
+        pf = (f_cur == h_prev[cols] - open_).astype(np.int8)
+        rows.append((jlo, ph, pe, pf))
+
+        pos = int(np.argmax(h_cur))
+        if int(h_cur[pos]) > best_score:
+            best_score = int(h_cur[pos])
+            best_i, best_j = i, jlo + pos
+
+        nh = np.full(m + 1, _NEG, dtype=np.int64)
+        nf = np.full(m + 1, _NEG, dtype=np.int64)
+        nh[0] = 0
+        nh[cols] = h_cur
+        nf[cols] = f_cur
+        h_prev, f_prev = nh, nf
+
+    if best_score <= 0:
+        return _EMPTY
+
+    def plane(i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        jlo, ph, pe, pf = rows[i]
+        return ph, pe, pf, j - jlo
+
+    matches = columns = 0
+    i, j = best_i, best_j
+    state = "H"
+    while True:
+        if i == 0 or j == 0:
+            break  # matrix edge: empty prefix, nothing left to trace
+        ph, pe, pf, off = plane(i, j)
+        if state == "H":
+            code = int(ph[off])
+            if code == 0:
+                break
+            if code == 1:
+                columns += 1
+                matches += a[i - 1] == b[j - 1]
+                i -= 1
+                j -= 1
+            elif code == 2:
+                state = "F"
+            else:
+                state = "E"
+        elif state == "F":
+            columns += 1
+            state = "H" if int(pf[off]) == 1 else "F"
+            i -= 1
+        else:
+            columns += 1
+            state = "H" if int(pe[off]) == 1 else "E"
+            j -= 1
+    return AlignmentResult(score=best_score, matches=matches, columns=columns)
+
+
+def _tally(res):
+    return (res.score, res.matches, res.columns)
 
 
 def _rec(rid, seq, ecs="", is_enzyme=None):
@@ -152,6 +272,109 @@ def test_band_is_a_lower_bound_and_full_band_is_exact(a, b):
         full.matches,
         full.columns,
     )
+
+
+@st.composite
+def _band_cases(draw):
+    alphabet = draw(st.sampled_from(["AC", "ACDW", ALPHA]))
+    short = draw(st.text(alphabet=alphabet, max_size=40))
+    long_ = draw(st.text(alphabet=alphabet, max_size=160))
+    a, b = (short, long_) if draw(st.booleans()) else (long_, short)
+    # cheap gaps against strong matches give long, ambiguous gap runs
+    gap_open = draw(st.one_of(st.integers(0, 3), st.integers(0, 12)))
+    gap_extend = draw(st.one_of(st.just(0), st.just(gap_open), st.integers(0, gap_open)))
+    params = AlignmentParams(
+        match=draw(st.sampled_from([1, 2, 3])),
+        mismatch=draw(st.sampled_from([-1, -3, 0])),
+        gap_open=gap_open,
+        gap_extend=gap_extend,
+        band_pad=draw(st.integers(0, 16)),
+    )
+    return a, b, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_band_cases())
+@example(case=("", "ACDW", AlignmentParams(band_pad=0)))
+@example(case=("ACDW" * 10, "", AlignmentParams()))
+@example(case=("AC" * 20, "CA" * 80, AlignmentParams(gap_open=3, gap_extend=3, band_pad=0)))
+@example(case=(ALPHA * 2, ALPHA + ALPHA[3:], AlignmentParams(gap_open=4, gap_extend=0, band_pad=0)))
+def test_diagonal_kernel_matches_the_row_oracle(case):
+    a, b, params = case
+    assert _tally(banded_local_align(a, b, params)) == _tally(row_band_oracle(a, b, params))
+
+
+def test_diagonal_kernel_matches_the_row_oracle_at_benchmark_lengths():
+    # 60-180 aa mutants (4% substitutions, 0.5% indels) and unrelated
+    # sequences of those lengths, whose length gaps widen the band
+    rng = random.Random(8)
+    for _ in range(40):
+        a = "".join(rng.choice(ALPHA) for _ in range(rng.randint(60, 180)))
+        chars = []
+        for ch in a:
+            r = rng.random()
+            if r < 0.04:
+                chars.append(rng.choice(ALPHA))
+            elif r < 0.045:
+                if rng.random() < 0.5:
+                    chars += [ch, rng.choice(ALPHA)]
+            else:
+                chars.append(ch)
+        unrelated = "".join(rng.choice(ALPHA) for _ in range(rng.randint(60, 180)))
+        for b in ("".join(chars), unrelated):
+            assert _tally(banded_local_align(a, b)) == _tally(row_band_oracle(a, b))
+
+
+def test_diagonal_kernel_matches_the_row_oracle_on_cheap_gaps():
+    # low-complexity pairs scored so that multi-residue gaps of both kinds tie
+    # with other paths: the traceback's tie order decides the tallies
+    rng = random.Random(11)
+    for _ in range(300):
+        alphabet = rng.choice(["AC", "ACD"])
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(5, 40)))
+        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(5, 40)))
+        gap_open = rng.randint(0, 4)
+        params = AlignmentParams(
+            match=rng.choice([1, 2, 3]), mismatch=rng.choice([-1, -2, -3]),
+            gap_open=gap_open, gap_extend=rng.randint(0, gap_open), band_pad=rng.randint(0, 20),
+        )
+        assert _tally(banded_local_align(a, b, params)) == _tally(row_band_oracle(a, b, params))
+
+
+def test_kernel_peak_memory_on_a_wide_band():
+    rng = random.Random(3)
+    a = "".join(rng.choice(ALPHA) for _ in range(180))
+    b = "".join(rng.choice(ALPHA) for _ in range(60))
+    assert AlignmentParams().band_half_width(180, 60) == 256
+    banded_local_align(a, b)  # first-call imports stay out of the traced call
+    tracemalloc.start()
+    try:
+        banded_local_align(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
+class TestInt32Bound:
+    # at these scores the bound (n + m + 4w + 4) * 2**20 < 2**28 admits n + m + 4w < 252
+    WIDE = AlignmentParams(match=1 << 20, mismatch=-(1 << 20), gap_open=1 << 20, gap_extend=1)
+
+    def test_scores_just_inside_the_bound_stay_exact(self):
+        a = ALPHA * 2 + "MKV"
+        b = ALPHA + "W" + ALPHA[1:] + "MKVW"  # 44 x 44, half-width 16
+        got = banded_local_align(a, b, self.WIDE)
+        assert _tally(got) == _tally(row_band_oracle(a, b, self.WIDE))
+        assert _tally(got) == _tally(full_local_align(a, b, self.WIDE))
+        assert got.score > 1 << 24
+
+    def test_longer_pairs_at_those_scores_are_refused(self):
+        with pytest.raises(AlignmentError, match="int32"):
+            banded_local_align(ALPHA * 5, ALPHA * 5, self.WIDE)
+
+    def test_default_scores_refuse_only_multi_million_residue_pairs(self):
+        with pytest.raises(AlignmentError, match="int32"):
+            banded_local_align("A" * 5_000_000, "AC")
 
 
 class TestParams:

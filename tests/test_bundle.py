@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from ecann.agents import CountModelParams, EcRankerParams, EnzymeGateParams, RankingMode
+from ecann.agents import (
+    CountModelParams,
+    EcRanker,
+    EcRankerParams,
+    EnzymeGate,
+    EnzymeGateParams,
+    FunctionCountModel,
+    RankingMode,
+)
+from ecann.alignment import KmerIndex
 from ecann.ann import AnnParams
 from ecann.bundle import (
     ARTIFACT_FILES,
@@ -13,13 +22,14 @@ from ecann.bundle import (
     BundleError,
     BundleParams,
     MANIFEST_FILE,
+    annotate_to_tsv,
     train_bundle,
 )
 from ecann.core import PredictionSource, format_ec
 from ecann.demo import make_demo_snapshots
 from ecann.embedding import EmbeddingTable
 from ecann.gbdt import GbdtParams
-from ecann.integrate import IntegrationPolicy, PolicyGrid
+from ecann.integrate import IntegrationPolicy, PolicyGrid, integrate
 
 _FAST_GBDT = GbdtParams(n_estimators=20, max_depth=3, min_child_weight=0.5,
                         subsample=1.0)
@@ -105,6 +115,74 @@ class TestSelfAnnotation:
     def test_vector_shape_must_match_the_table(self, annotator, corpus):
         with pytest.raises(BundleError, match="shape"):
             annotator.annotate_one("q", corpus[0].seq, vector=np.zeros(7))
+
+
+def _with_policy(annotator, **policy):
+    return Annotator(annotator.records, annotator.table, annotator._stack,
+                     IntegrationPolicy(**policy), annotator.params)
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a route that does not answer was computed")
+
+
+class TestRouteLazyAnnotation:
+    """annotate_one computes only the route that answers, with eager results."""
+
+    def _eager(self, annotator, query_id, seq, mode=RankingMode.PREDICTION):
+        outputs = annotator.agent_outputs(annotator.embed(seq))
+        return integrate(query_id, outputs, annotator.best_hit(seq), annotator.policy, mode)
+
+    def test_alignment_hit_skips_the_agents(self, annotator, corpus, monkeypatch):
+        seq = corpus[0].seq
+        eager = self._eager(annotator, "q", seq)
+        assert eager.source is PredictionSource.ALIGNMENT
+        for owner, name in ((EnzymeGate, "predict"), (FunctionCountModel, "predict"),
+                            (EcRanker, "rank")):
+            monkeypatch.setattr(owner, name, _refuse)
+        assert annotator.annotate_one("q", seq) == eager
+
+    def test_agents_first_never_aligns(self, annotator, corpus, monkeypatch):
+        agents_first = _with_policy(
+            annotator, precedence=(PredictionSource.AGENTS, PredictionSource.ALIGNMENT))
+        seq = corpus[0].seq
+        for mode in RankingMode:
+            eager = self._eager(agents_first, "q", seq, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(KmerIndex, "align_all", _refuse)
+                assert agents_first.annotate_one("q", seq, mode) == eager
+
+    def test_alignment_only_miss_abstains_without_the_agents(self, annotator, monkeypatch):
+        alignment_only = _with_policy(annotator, precedence=(PredictionSource.ALIGNMENT,))
+        seq = "MKV"  # shorter than k: no candidates, no hit
+        eager = self._eager(alignment_only, "q", seq)
+        assert eager.is_enzyme is None
+        monkeypatch.setattr(EnzymeGate, "predict", _refuse)
+        assert alignment_only.annotate_one("q", seq) == eager
+
+    def test_missing_vector_fails_the_row_alignment_would_answer(self, corpus):
+        rng = np.random.default_rng(1)
+        table = EmbeddingTable(
+            tag="external-test", dim=8,
+            vectors={rec.id: rng.normal(size=8) for rec in corpus},
+        )
+        built, _ = train_bundle(corpus, TEST_PARAMS, table=table)
+        rec = corpus[0]
+        assert built.best_hit(rec.seq).identity == 1.0
+        tsv, failed = annotate_to_tsv(built, [("q", rec.seq)], vectors={})
+        assert failed == 1
+        assert tsv.splitlines()[1] == (
+            "q\t\t\t\t\terror: bundle embeds with 'external-test'; "
+            "query vectors must be supplied"
+        )
+
+    def test_tuning_inputs_still_run_both_routes(self, annotator, corpus):
+        for precedence in ((PredictionSource.AGENTS,), (PredictionSource.ALIGNMENT,)):
+            probe = _with_policy(annotator, precedence=precedence)
+            outputs, hits = probe.tuning_inputs(corpus, None)
+            assert set(outputs) == set(hits) == {rec.id for rec in corpus}
+            assert all(hit is not None and hit.identity == 1.0 for hit in hits.values())
+            assert all(out is not None for out in outputs.values())
 
 
 class TestPersistence:

@@ -137,6 +137,29 @@ class TestIntegrate:
         assert pred.ranked_ecs == ()
         assert pred.source is ALIGN
 
+    def test_only_the_answering_route_needs_its_inputs(self):
+        hit = _hit(1.0)
+        assert integrate("Q", None, hit, IntegrationPolicy()).source is ALIGN
+        abstain = integrate("Q", None, None, IntegrationPolicy(precedence=(ALIGN,)))
+        assert abstain.is_enzyme is None
+        with pytest.raises(IntegrationError, match="no agent outputs"):
+            integrate("Q", None, _hit(0.2), IntegrationPolicy())
+        with pytest.raises(IntegrationError, match="no agent outputs"):
+            integrate("Q", None, hit, IntegrationPolicy(precedence=(AGENTS, ALIGN)))
+
+    @pytest.mark.parametrize("precedence, consults, on_hit, on_miss", [
+        ((ALIGN, AGENTS), True, ALIGN, AGENTS),
+        ((AGENTS, ALIGN), False, AGENTS, AGENTS),
+        ((ALIGN,), True, ALIGN, None),
+        ((AGENTS,), False, AGENTS, AGENTS),
+    ])
+    def test_route_for_walks_the_precedence(self, precedence, consults, on_hit, on_miss):
+        policy = IntegrationPolicy(alignment_min_identity=0.9, precedence=precedence)
+        assert policy.consults_alignment is consults
+        assert policy.route_for(_hit(0.95)) is on_hit
+        assert policy.route_for(_hit(0.85)) is on_miss
+        assert policy.route_for(None) is on_miss
+
     def test_pure_function_of_inputs(self):
         out = _outputs(count=2, ecs=("1.1.1.1", "2.2.2.2"))
         hit = _hit(0.8)
