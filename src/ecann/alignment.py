@@ -16,12 +16,12 @@ the first maximum in row-major order, and traceback prefers stop, then
 diagonal, then vertical gap, then horizontal gap — so on pairs whose optimal
 path stays inside the band they agree exactly, not just on score.
 
-The banded kernel keeps the band in diagonal coordinates, slot ``t = j - i + w``
-of row ``i``: a cell's diagonal, vertical and horizontal neighbours are slots
-``t`` and ``t + 1`` of the previous row and ``t - 1`` of its own, so each DP row
-is about ten in-place NumPy calls on preallocated int32 H/E/F planes.  The best
-cell is one ``argmax``; the traceback walks only the path, re-deriving each
-step from the planes.
+The banded kernel stores each row as a window of ``min(2w + 1, len(b) + 1)``
+columns that moves right by at most one column a row: the band in diagonal
+coordinates, narrowed to the real cells when ``b`` is short.  A DP row is about
+ten in-place NumPy calls into an int32 H plane and a flag plane marking cells
+whose H came from a vertical gap; E and F live one row at a time.  The best
+cell is one ``argmax``, and the traceback re-derives only the path's steps.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ __all__ = [
 ]
 
 _NEG = -(1 << 40)  # forbidden-cell sentinel; far below any reachable score
-# int32 band planes: _BAND_LIMIT keeps scores far from the sentinel and overflow
-_BAND_NEG = -(1 << 29)
-_BAND_LIMIT = 1 << 28
+_BAND_NEG, _BAND_LIMIT = -(1 << 29), 1 << 28  # int32: scores stay far from both ends
 
 
 class AlignmentError(ValueError):
@@ -117,6 +115,12 @@ def _hit_rank_key(hit: Hit):
     return (-hit.identity, -hit.score, hit.id)
 
 
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Writable view of every ``width``-long window along the last axis of ``x``."""
+    shape = x.shape[:-1] + (x.shape[-1] - width + 1, width)
+    return np.ndarray(shape, x.dtype, x, 0, x.strides + x.strides[-1:])
+
+
 def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams()) -> AlignmentResult:
     """Affine-gap local alignment restricted to a diagonal band.
 
@@ -135,75 +139,89 @@ def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams
     open_, ext = params.gap_open, params.gap_extend
     if (n + m + 4 * w + 4) * max(abs(match), abs(mismatch), open_, 1) >= _BAND_LIMIT:
         raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
-    width = 2 * w + 1
 
-    # Row i's slot t holds column j = t + i - w; codes[k] is column k - w, with
-    # -2 on column 0 (the empty-prefix boundary) and -1 off the matrix.
-    codes = np.full(n + width, -1, dtype=np.int16)
-    codes[w] = -2
-    codes[w + 1 : w + 1 + m] = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    window = np.lib.stride_tricks.sliding_window_view(codes, width)[1 : n + 1]
-    a_codes = np.frombuffer(a.encode("ascii"), dtype=np.uint8)[:, None]
-    sub = np.where(window == a_codes, np.int32(match), np.int32(mismatch))
-    np.putmask(sub, window < 0, _BAND_NEG)
-    floor = np.where(window == -1, np.int32(_BAND_NEG), np.int32(0))
+    # Row i stores the ``width`` columns from u[i] on: its first real column,
+    # pulled left so as not to pass the band's edge at i + w.  With width 2w + 1
+    # that is the band in diagonal coordinates; when b is shorter, the window
+    # holds all of b.  u steps by 0 or 1 a row, so the cells above-left and
+    # above a row's first column are that step and the next in row i - 1.
+    # Storage column c is column u[i] + c - 1; 0 and width + 1 are sentinels.
+    width = min(2 * w + 1, m + 1)
+    rows = np.arange(n + 1)
+    u = np.minimum(np.maximum(rows - w, 0), rows + w + 1 - width).tolist()
 
-    # slot 2w + 1 is only read as a vertical neighbour; it is off the band below row 0
-    h = np.full((n + 1, width + 1), _BAND_NEG, dtype=np.int32)
-    e = np.full_like(h, _BAND_NEG)
-    f = np.full_like(h, _BAND_NEG)
-    h[0, w : w + m + 1] = 0
+    # one score row per letter of a over columns base .. u[n] + width - 1 (row n
+    # reaches column m); the sentinel off the matrix and on column 0, which
+    # only floors to 0
+    base = min(u[1], 0)
+    codes = np.full(u[n] + width - base, -1, dtype=np.int16)
+    codes[-base] = -2
+    codes[1 - base : m + 1 - base] = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    letters = "".join(sorted(set(a)))
+    letter_codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)[:, None]
+    profile = np.where(codes == letter_codes, np.int32(match), np.int32(mismatch))
+    profile[:, codes < 0] = _BAND_NEG
+    floor = np.where(codes == -1, np.int32(_BAND_NEG), np.int32(0))
+
+    h = np.full((n + 1, width + 2), _BAND_NEG, dtype=np.int32)
+    h[0, 1 - u[0] : min(m, w) - u[0] + 2] = 0
+    from_f = np.zeros((n + 1, width), dtype=bool)  # final H equals F
     ramp = np.arange(width, dtype=np.int32) * ext
     e_offset = ramp[:-1] + open_  # open + (t - 1) * ext for t >= 1
     scan = np.empty(width, dtype=np.int32)
-    h_rows, e_rows, f_rows = h[:, :width], e[:, 1:width], f[:, :width]
-    h_up, f_up = h[:, 1:], f[:, 1:]
-    for i in range(1, n + 1):
-        h_row, e_row, f_row = h_rows[i], e_rows[i], f_rows[i]
-        np.add(h_rows[i - 1], sub[i - 1], out=h_row)
-        np.subtract(h_up[i - 1], open_, out=scan)
-        np.subtract(f_up[i - 1], ext, out=f_row)
+    e_row = np.empty(width - 1, dtype=np.int32)
+    h_win, sub_win, floor_win = _windows(h, width), _windows(profile, width), _windows(floor, width)
+    f_prev, f_next = _windows(np.full((2, width + 2), _BAND_NEG, dtype=np.int32), width)
+    letter_rows = [letters.index(ch) for ch in a]
+    for i, (letter, first_above, first) in enumerate(zip(letter_rows, u, u[1:]), 1):
+        d, c = first - first_above, first - base
+        h_row, f_row = h_win[i, 1], f_next[1]
+        np.add(h_win[i - 1, d], sub_win[letter, c], out=h_row)
+        np.subtract(h_win[i - 1, d + 1], open_, out=scan)
+        np.subtract(f_prev[d + 1], ext, out=f_row)
         np.maximum(f_row, scan, out=f_row)
         np.maximum(h_row, f_row, out=h_row)
-        np.maximum(h_row, floor[i - 1], out=h_row)
+        np.maximum(h_row, floor_win[c], out=h_row)
         # horizontal gaps in one scan: max over t' < t of h[t'] - open - (t-1-t')*ext
         np.add(h_row, ramp, out=scan)
         np.maximum.accumulate(scan, out=scan)
         np.subtract(scan[:-1], e_offset, out=e_row)
         np.maximum(h_row[1:], e_row, out=h_row[1:])
+        np.equal(h_row, f_row, out=from_f[i])
+        f_prev, f_next = f_next, f_prev
 
-    # Slots past column m can carry a gap out of a real cell but never beat the
+    # Columns past m can carry a gap out of a real cell but never beat the
     # real cell it came from, which is earlier in row-major order.
-    i, t = divmod(int(np.argmax(h)), width + 1)
-    best_score = int(h[i, t])
+    i, col = divmod(int(np.argmax(h)), width + 2)
+    best_score = int(h[i, col])
     if best_score <= 0:
         return _EMPTY
 
-    # re-derive each step on the path: stop > diagonal > vertical > horizontal
+    # re-derive each step on the path: stop > diagonal > vertical > horizontal.
+    # A gap carries its own value: F(i, j) is H(i-1, j) - open where it opens,
+    # else F(i-1, j) - ext, and E(i, j) likewise along the row.
     matches = columns = 0
-    state = "H"
-    while i > 0 and t + i - w > 0:
+    j = u[i] + col - 1
+    state, gap = "H", 0
+    while i > 0 and j > 0:
         if state == "H":
-            here = int(h[i, t])
+            here = int(h[i, j - u[i] + 1])
             if here == 0:
                 break
-            if here == int(h[i - 1, t]) + int(sub[i - 1, t]):
+            same = a[i - 1] == b[j - 1]
+            if here == int(h[i - 1, j - u[i - 1]]) + (match if same else mismatch):
                 columns += 1
-                matches += a[i - 1] == b[t + i - w - 1]
+                matches += same
                 i -= 1
-            elif here == int(f[i, t]):
-                state = "F"
+                j -= 1
             else:
-                state = "E"
-        elif state == "F":
-            columns += 1
-            state = "H" if int(f[i, t]) == int(h[i - 1, t + 1]) - open_ else "F"
-            i -= 1
-            t += 1
+                state, gap = ("F" if from_f[i, j - u[i]] else "E"), here
         else:
             columns += 1
-            state = "H" if int(e[i, t]) == int(h[i, t - 1]) - open_ else "E"
-            t -= 1
+            i, j = (i - 1, j) if state == "F" else (i, j - 1)
+            if gap == int(h[i, j - u[i] + 1]) - open_:
+                state = "H"
+            gap += ext
     return AlignmentResult(score=best_score, matches=matches, columns=columns)
 
 
@@ -326,6 +344,9 @@ class KmerIndex:
         k = self.params.k
         for kmer in {seq[p : p + k] for p in range(len(seq) - k + 1)}:
             self._postings.setdefault(kmer, []).append(idx)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
     def candidates(self, query: str) -> list[int]:
         """Reference indices ranked by shared distinct k-mers, capped."""
