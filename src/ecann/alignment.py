@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 _NEG = -(1 << 40)  # forbidden-cell sentinel; far below any reachable score
-_BAND_NEG, _BAND_LIMIT = -(1 << 29), 1 << 28  # int32: scores stay far from both ends
+# int32 band planes: _BAND_LIMIT keeps scores far from the sentinel and overflow
+_BAND_NEG = -(1 << 29)
+_BAND_LIMIT = 1 << 28
 
 
 class AlignmentError(ValueError):
