@@ -166,10 +166,10 @@ class EnzymeGate:
             raise AgentError("cannot train the enzyme gate on zero records")
         _check_coverage(records, table)
         labels = {rec.id: rec.is_enzyme for rec in records}
-        reference = EmbeddingTable(
-            tag=table.tag, dim=table.dim,
-            vectors={rec.id: table.get(rec.id) for rec in records},
-        )
+        ids = tuple(rec.id for rec in records)
+        reference = table
+        if ids != table.ids():  # a table embedded from these records is taken as is
+            reference = EmbeddingTable.from_rows(table.tag, ids, table.matrix(ids))
         index: Optional[AnnIndex] = None
         if len(reference) >= params.exact_scan_limit:
             index = AnnIndex.build(reference, params.ann)
@@ -342,22 +342,20 @@ class EcRanker:
 
         point_ids: list[str] = []
         point_labels: list[int] = []
-        point_vectors: dict[str, np.ndarray] = {}
+        point_records: list[str] = []
         for rec in records:
             if not rec.is_enzyme:
                 raise AgentError(f"record {rec.id!r} is not an enzyme")
-            vec = table.get(rec.id)
-            for ec in rec.ecs:
-                pid = _point_id(rec.id, ec)
-                point_ids.append(pid)
+            for ec in dict.fromkeys(rec.ecs):  # a repeated EC is one point
+                point_ids.append(_point_id(rec.id, ec))
                 point_labels.append(label_dict.label_of(ec))
-                point_vectors[pid] = vec
+                point_records.append(rec.id)
 
-        point_table = EmbeddingTable(tag=table.tag, dim=table.dim, vectors=point_vectors)
-        index = AnnIndex.build(point_table, params.ann)
+        points = EmbeddingTable.from_rows(table.tag, point_ids, table.matrix(point_records))
+        index = AnnIndex.build(points, params.ann)
         label_of_point = dict(zip(point_ids, point_labels))
         labels_arr = np.array(point_labels)
-        vectors = point_table.matrix(point_ids)
+        vectors = points.matrix()
 
         classifiers: dict[int, LinearModel] = {}
         negatives_used: dict[int, int] = {}
@@ -393,10 +391,9 @@ class EcRanker:
             assert all(label_of_point[pid] != label for pid in negative_ids)
             assert len(negative_ids) <= params.negative_budget + pos_rows.size
             negatives_used[label] = len(negative_ids)
-            neg_matrix = np.stack([point_vectors[pid] for pid in sorted(negative_ids)])
             model = train_l2svm(
                 vectors[pos_rows],
-                neg_matrix,
+                points.matrix(sorted(negative_ids)),
                 C=params.svm_c,
                 max_iter=params.svm_max_iter,
                 tol=params.svm_tol,

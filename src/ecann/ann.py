@@ -75,16 +75,10 @@ def brute_force_knn(
     """Exact k nearest neighbours, total order with ties broken by id."""
     if k < 1:
         raise ValueError("k must be positive")
-    ids = table.ids()
-    if not ids:
-        return []
-    matrix = table.matrix(ids)
+    matrix = table.matrix()
     q = np.asarray(query, dtype=np.float64)
     if metric == "euclidean":
-        # The stacked matrix is a fresh copy: subtracting in place keeps one
-        # table-sized temporary per query instead of two.
-        diff = matrix.astype(np.float64, copy=False)
-        diff -= q
+        diff = matrix - q
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     elif metric == "cosine":
         norms = np.linalg.norm(matrix, axis=1)
@@ -94,7 +88,12 @@ def brute_force_knn(
         dists = 1.0 - (matrix @ q) / (norms * q_norm)
     else:
         raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
-    order = sorted(range(len(ids)), key=lambda i: (dists[i], ids[i]))[:k]
+    # Only rows at or below the k-th smallest distance can make the cut.
+    rows = range(len(dists))
+    if k < len(dists):
+        rows = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1]).tolist()
+    ids = table.ids()
+    order = sorted(rows, key=lambda i: (dists[i], ids[i]))[:k]
     return [(ids[i], float(dists[i])) for i in order]
 
 
@@ -121,19 +120,19 @@ class AnnIndex:
     @classmethod
     def build(cls, table: EmbeddingTable, params: AnnParams) -> "AnnIndex":
         index = cls(params, table.dim)
-        ids = table.ids()
-        matrix = table.matrix(ids)
-        index._reserve(matrix)
-        for rec_id, vec in zip(ids, matrix):
+        index._reserve(table.matrix())
+        for rec_id, vec in zip(table.ids(), table.matrix()):
             index._insert(rec_id, vec)
         return index
 
     def _reserve(self, matrix: np.ndarray) -> None:
-        if self.params.metric == "cosine" and np.any(np.linalg.norm(matrix, axis=1) == 0.0):
-            raise ValueError("cosine metric cannot index zero vectors")
-        self._capacity = len(matrix)
-        self._matrix = np.zeros((len(matrix), self.dim), dtype=np.float64)
-        self._norms = np.zeros(len(matrix), dtype=np.float64)
+        """Adopt ``matrix`` as the node vectors, row i as node i.  Cosine norms are
+        taken for all rows at once, so built and loaded indexes agree bit for bit."""
+        self._matrix = matrix
+        if self.params.metric == "cosine":
+            self._norms = np.linalg.norm(matrix, axis=1)
+            if np.any(self._norms == 0.0):
+                raise ValueError("cosine metric cannot index zero vectors")
 
     def _random_level(self) -> int:
         u = float(self._rng.random())
@@ -209,11 +208,10 @@ class AnnIndex:
         return selected + pruned[: m - len(selected)]
 
     def _insert(self, rec_id: str, vec: np.ndarray) -> None:
+        """Link the next reserved row, whose vector is ``vec``, into the graph."""
         node = len(self.ids)
         if node >= len(self._matrix):
             raise RuntimeError("index capacity exhausted; build from a table")
-        self._matrix[node] = vec
-        self._norms[node] = np.linalg.norm(vec)
         level = self._random_level()
         self.ids.append(rec_id)
         self.levels.append(level)
@@ -324,8 +322,7 @@ class AnnIndex:
             index = cls(AnnParams(**meta["params"]), vectors.shape[1])
             index.ids = list(ids)
             index.levels = levels
-            index._matrix = vectors
-            index._norms = np.linalg.norm(vectors, axis=1)
+            index._reserve(vectors)
             index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
             index.entry, index.top_level = meta["entry"], meta["top_level"]
             index.validate()

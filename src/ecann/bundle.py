@@ -112,7 +112,8 @@ class BundleParams:
         )
 
 
-def _sha256(path: Path) -> str:
+def sha256_file(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -193,7 +194,7 @@ class Annotator:
         return hits[0] if hits else None
 
     def tuning_inputs(
-        self, records: Sequence[ProteinRecord], vectors: Optional[Mapping[str, np.ndarray]]
+        self, records: Sequence[ProteinRecord], vectors: Optional[EmbeddingTable]
     ) -> tuple[dict[str, AgentOutputs], dict[str, Optional[Hit]]]:
         """Agent outputs and best hit by record id; both routes run for every record.
 
@@ -204,7 +205,7 @@ class Annotator:
         for rec in records:
             if vectors is not None and rec.id not in vectors:
                 raise BundleError(f"record {rec.id!r} has no vector in the supplied table")
-            vec = self.embed(rec.seq) if vectors is None else vectors[rec.id]
+            vec = self.embed(rec.seq) if vectors is None else vectors.get(rec.id)
             outputs_by_id[rec.id] = self.agent_outputs(vec)
             hits_by_id[rec.id] = self.best_hit(rec.seq)
         return outputs_by_id, hits_by_id
@@ -235,7 +236,7 @@ class Annotator:
         self,
         queries: Sequence[tuple[str, str]],
         mode: RankingMode = RankingMode.PREDICTION,
-        vectors: Optional[Mapping[str, np.ndarray]] = None,
+        vectors: Optional[EmbeddingTable] = None,
     ) -> list[Prediction]:
         seen: set[str] = set()
         for query_id, _ in queries:
@@ -243,10 +244,7 @@ class Annotator:
                 raise BundleError(f"duplicate query id {query_id!r}")
             seen.add(query_id)
         return [
-            self.annotate_one(
-                query_id, seq, mode,
-                vector=None if vectors is None else vectors.get(query_id),
-            )
+            self.annotate_one(query_id, seq, mode, vector=_supplied_vector(vectors, query_id))
             for query_id, seq in queries
         ]
 
@@ -267,7 +265,7 @@ class Annotator:
             "policy": self.policy.to_dict(),
             "params": self.params.to_dict(),
             "artifacts": {
-                name: _sha256(directory / name) for name in ARTIFACT_FILES
+                name: sha256_file(directory / name) for name in ARTIFACT_FILES
             },
         }
         (directory / MANIFEST_FILE).write_text(
@@ -297,7 +295,7 @@ class Annotator:
             path = directory / name
             if not path.is_file():
                 raise BundleError(f"bundle artifact missing: {name}")
-            got = _sha256(path)
+            got = sha256_file(path)
             if got != want:
                 raise BundleError(
                     f"bundle artifact corrupt: {name} digest {got[:12]}… != manifest"
@@ -324,11 +322,16 @@ class Annotator:
                    policy=policy, params=params)
 
 
+def _supplied_vector(vectors: Optional[EmbeddingTable], query_id: str) -> Optional[np.ndarray]:
+    """The query's row of ``vectors``; None, so the sequence is embedded, when absent."""
+    return vectors.get(query_id) if vectors is not None and query_id in vectors else None
+
+
 def annotate_to_tsv(
     annotator: Annotator,
     pairs: Sequence[tuple[str, str]],
     mode: RankingMode = RankingMode.PREDICTION,
-    vectors: Optional[Mapping[str, np.ndarray]] = None,
+    vectors: Optional[EmbeddingTable] = None,
 ) -> tuple[str, int]:
     """Render annotations for (id, seq) pairs as prediction-table text.
 
@@ -344,8 +347,7 @@ def annotate_to_tsv(
     for query_id, seq in pairs:
         try:
             pred = annotator.annotate_one(
-                query_id, seq, mode,
-                vector=None if vectors is None else vectors.get(query_id),
+                query_id, seq, mode, vector=_supplied_vector(vectors, query_id)
             )
             lines.append(prediction_row(pred))
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
@@ -382,14 +384,9 @@ def train_bundle(
         fit_part, held_out = validation_split(records, validation_fraction)
         if not held_out:
             raise BundleError("validation split is empty; need >= 2 records to tune")
-        sub_table = EmbeddingTable(
-            tag=table.tag, dim=table.dim,
-            vectors={rec.id: table.get(rec.id) for rec in fit_part},
-        )
-        trial = _fit_stack(fit_part, sub_table, params)
-        probe = Annotator(fit_part, sub_table, trial,
-                          IntegrationPolicy(), params)
-        outputs_by_id, hits_by_id = probe.tuning_inputs(held_out, table.vectors)
+        trial = _fit_stack(fit_part, table, params)
+        probe = Annotator(fit_part, table, trial, IntegrationPolicy(), params)
+        outputs_by_id, hits_by_id = probe.tuning_inputs(held_out, table)
         tune_result = greedy_tune(held_out, outputs_by_id, hits_by_id, tune_grid)
         chosen = tune_result.policy
         log.info("tuned policy %s (validation F1 %.4f)",

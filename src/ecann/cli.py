@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .agents import CountModelParams, EcRankerParams, EnzymeGateParams, RankingMode
-from .bundle import Annotator, BundleParams, annotate_to_tsv, train_bundle
+from .bundle import Annotator, BundleParams, annotate_to_tsv, sha256_file, train_bundle
 from .core import LabelDictionary, Task
 from .dataset import (
     Snapshot,
@@ -61,21 +60,13 @@ EXIT_ERROR = 1
 EXIT_ROW_FAILURES = 2
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(
     run_dir: Path, command: str, inputs: Mapping[str, Path], params: Mapping
 ) -> None:
     manifest = {
         "command": command,
         "inputs": {
-            name: {"path": str(path), "sha256": _sha256_file(Path(path))}
+            name: {"path": str(path), "sha256": sha256_file(Path(path))}
             for name, path in sorted(inputs.items())
         },
         "params": params,
@@ -173,7 +164,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         params = {"source": "one-hot", "max_len": args.max_len}
     save_embedding_table(table, run / "embeddings.bin")
     _write_manifest(run, "embed", inputs, params)
-    print(f"{len(table.vectors)} vectors, dim {table.dim}, tag {table.tag}")
+    print(f"{len(table)} vectors, dim {table.dim}, tag {table.tag}")
     return EXIT_OK
 
 
@@ -248,7 +239,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pairs = parse_fasta(args.fasta)
     vectors = None
     if args.vectors:
-        vectors = load_embedding_table(args.vectors, tag=annotator.table.tag).vectors
+        vectors = load_embedding_table(args.vectors, tag=annotator.table.tag)
     mode = RankingMode(args.mode)
     tsv, n_failed = annotate_to_tsv(annotator, pairs, mode, vectors=vectors)
     Path(args.out).write_text(tsv, encoding="utf-8")
@@ -347,7 +338,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     validation, _ = _read_records(args.validation, "validation set")
     vectors = None
     if args.vectors:
-        vectors = load_embedding_table(args.vectors, tag=annotator.table.tag).vectors
+        vectors = load_embedding_table(args.vectors, tag=annotator.table.tag)
     outputs_by_id, hits_by_id = annotator.tuning_inputs(validation, vectors)
     grid = PolicyGrid(identities=tuple(args.identities),
                       thresholds=tuple(args.thresholds))

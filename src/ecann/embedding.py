@@ -1,15 +1,14 @@
 """Sequence embedding tables: one-hot encoding and table I/O.
 
-Tables produced by external embedding models (per-residue encoders
+A table is one read-only ``(n, dim)`` float64 matrix plus an id -> row
+map.  Tables produced by external embedding models (per-residue encoders
 mean-pooled to a fixed width, etc.) are loaded from disk and treated as
-opaque id -> vector maps; the only embedding computed in-process is the
-positional one-hot.
+opaque; the only embedding computed in-process is the positional one-hot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,43 +26,72 @@ class EmbeddingError(ValueError):
     pass
 
 
-@dataclass
 class EmbeddingTable:
-    """Immutable-by-convention map from record id to a fixed-width vector."""
+    """Record id -> fixed-width vector, held as one read-only float64 matrix in id order.
 
-    tag: str
-    dim: int
-    vectors: dict[str, np.ndarray]
+    Build a table from an id -> vector mapping, or adopt a matrix with
+    :meth:`from_rows`; :meth:`get` and :meth:`matrix` hand out views of it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise EmbeddingError(f"table {self.tag}: dim must be positive")
-        for rec_id, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
+    def __init__(self, tag: str, dim: int, vectors: Mapping[str, np.ndarray]):
+        matrix = np.empty((len(vectors), dim))
+        for row, (rec_id, vec) in zip(matrix, vectors.items()):
+            if np.shape(vec) != (dim,):
                 raise EmbeddingError(
-                    f"table {self.tag}: vector for {rec_id} has shape {vec.shape}, "
-                    f"expected ({self.dim},)"
+                    f"table {tag}: vector for {rec_id} has shape {np.shape(vec)}, "
+                    f"expected ({dim},)"
                 )
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"table {self.tag}: non-finite vector for {rec_id}")
+            row[:] = vec
+        self._adopt(tag, tuple(vectors), matrix)
+
+    @classmethod
+    def from_rows(cls, tag: str, ids: Sequence[str], matrix: np.ndarray) -> "EmbeddingTable":
+        """A table whose row ``i`` is the vector of ``ids[i]``; ``matrix`` is
+        not copied when it is already C-contiguous float64."""
+        table = cls.__new__(cls)
+        table._adopt(tag, tuple(ids), matrix)
+        return table
+
+    def _adopt(self, tag: str, ids: tuple[str, ...], matrix: np.ndarray) -> None:
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
+        if matrix.ndim != 2 or len(ids) != len(matrix):
+            raise EmbeddingError(
+                f"table {tag}: {len(ids)} ids for vectors of shape {matrix.shape}")
+        if matrix.shape[1] <= 0:
+            raise EmbeddingError(f"table {tag}: dim must be positive")
+        row_of = {rec_id: row for row, rec_id in enumerate(ids)}
+        if len(row_of) != len(ids):
+            raise EmbeddingError(f"table {tag}: duplicate ids")
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            raise EmbeddingError(f"table {tag}: non-finite vector for {ids[bad[0]]}")
+        matrix.flags.writeable = False
+        self.tag, self.dim = tag, matrix.shape[1]
+        self._ids, self._row_of, self._matrix = ids, row_of, matrix
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._ids)
 
     def __contains__(self, rec_id: str) -> bool:
-        return rec_id in self.vectors
+        return rec_id in self._row_of
 
-    def get(self, rec_id: str) -> np.ndarray:
+    def _row(self, rec_id: str) -> int:
         try:
-            return self.vectors[rec_id]
+            return self._row_of[rec_id]
         except KeyError:
             raise KeyError(f"id {rec_id!r} missing from embedding table {self.tag!r}") from None
 
-    def ids(self) -> list[str]:
-        return list(self.vectors.keys())
+    def get(self, rec_id: str) -> np.ndarray:
+        return self._matrix[self._row(rec_id)]
 
-    def matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return np.stack([self.get(i) for i in ids]) if ids else np.zeros((0, self.dim))
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    def matrix(self, ids: Optional[Sequence[str]] = None) -> np.ndarray:
+        """The whole matrix (no copy), or a copy of the rows of ``ids`` in order."""
+        if ids is None:
+            return self._matrix
+        return self._matrix[[self._row(rec_id) for rec_id in ids]]
 
 
 def one_hot_encode(seq: str, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
@@ -88,17 +116,14 @@ def one_hot_table(
     max_len: int = DEFAULT_MAX_LEN,
 ) -> EmbeddingTable:
     """Encode (id, seq) pairs or records into a one-hot table."""
-    vectors: dict[str, np.ndarray] = {}
-    for item in pairs:
-        if isinstance(item, ProteinRecord):
-            rec_id, seq = item.id, item.seq
-        else:
-            rec_id, seq = item
-        if rec_id in vectors:
-            raise EmbeddingError(f"duplicate id {rec_id!r} in one-hot input")
-        vectors[rec_id] = one_hot_encode(seq, max_len)
-    dim = len(AMINO_ACIDS) * max_len
-    return EmbeddingTable(tag=ONE_HOT_TAG, dim=dim, vectors=vectors)
+    if max_len <= 0:
+        raise EmbeddingError(f"max_len must be positive, got {max_len}")
+    items = [(item.id, item.seq) if isinstance(item, ProteinRecord) else item
+             for item in pairs]
+    matrix = np.zeros((len(items), len(AMINO_ACIDS) * max_len), dtype=np.float64)
+    for row, (_rec_id, seq) in zip(matrix, items):
+        row[:] = one_hot_encode(seq, max_len)
+    return EmbeddingTable.from_rows(ONE_HOT_TAG, [rec_id for rec_id, _seq in items], matrix)
 
 
 # --------------------------------------------------------------------------
@@ -110,33 +135,28 @@ def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
 
     Loading and re-saving is byte-identical.
     """
-    ids = table.ids()
-    matrix = np.asarray(table.matrix(ids), dtype=np.float64)
-    write_container(path, _KIND, {"tag": table.tag, "ids": ids}, {"vectors": matrix})
+    write_container(path, _KIND, {"tag": table.tag, "ids": table.ids()},
+                    {"vectors": table.matrix()})
 
 
-def _load_binary_table(path: Path) -> EmbeddingTable:
+def _load_binary_table(path: Path, tag: Optional[str]) -> EmbeddingTable:
+    """The stored matrix becomes the table's matrix; ``tag`` overrides the stored tag."""
     meta, arrays = read_container(path, _KIND, EmbeddingError)
     try:
-        tag, ids, matrix = meta["tag"], meta["ids"], arrays["vectors"]
-        vectors = dict(zip(ids, matrix))
-    except (KeyError, TypeError) as exc:
+        stored_tag, ids, matrix = meta["tag"], meta["ids"], arrays["vectors"]
+        return EmbeddingTable.from_rows(stored_tag if tag is None else tag, ids, matrix)
+    except (KeyError, TypeError, EmbeddingError) as exc:
         raise EmbeddingError(f"{path}: bad embedding table: {exc}") from None
-    if matrix.ndim != 2 or len(ids) != len(matrix):
-        raise EmbeddingError(f"{path}: {len(ids)} ids for vectors of shape {matrix.shape}")
-    if len(vectors) != len(ids):
-        raise EmbeddingError(f"{path}: duplicate ids")
-    return EmbeddingTable(tag=tag, dim=matrix.shape[1], vectors=vectors)
 
 
 def save_embedding_table_tsv(table: EmbeddingTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec_id, vec in table.vectors.items():
+        for rec_id, vec in zip(table.ids(), table.matrix()):
             fh.write(rec_id + "\t" + "\t".join(repr(float(v)) for v in vec) + "\n")
 
 
 def _load_tsv_table(path: Path, tag: str) -> EmbeddingTable:
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, list[float]] = {}
     dim: Optional[int] = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -154,12 +174,12 @@ def _load_tsv_table(path: Path, tag: str) -> EmbeddingTable:
                 raise EmbeddingError(
                     f"{path}:{line_no}: expected {dim} values, got {len(values)}"
                 )
-            if rec_id in vectors:
+            if rec_id in rows:
                 raise EmbeddingError(f"{path}:{line_no}: duplicate id {rec_id!r}")
-            vectors[rec_id] = np.array([float(v) for v in values], dtype=np.float64)
+            rows[rec_id] = [float(v) for v in values]
     if dim is None:
         raise EmbeddingError(f"{path}: empty table")
-    return EmbeddingTable(tag=tag, dim=dim, vectors=vectors)
+    return EmbeddingTable.from_rows(tag, list(rows), np.array(list(rows.values())))
 
 
 def load_embedding_table(path: str | Path, tag: Optional[str] = None) -> EmbeddingTable:
@@ -168,10 +188,7 @@ def load_embedding_table(path: str | Path, tag: Optional[str] = None) -> Embeddi
     with open(path, "rb") as fh:
         head = fh.read(len(CONTAINER_MAGIC))
     if head == CONTAINER_MAGIC:
-        table = _load_binary_table(path)
-        if tag is not None and tag != table.tag:
-            table = EmbeddingTable(tag=tag, dim=table.dim, vectors=table.vectors)
-        return table
+        return _load_binary_table(path, tag)
     try:
         return _load_tsv_table(path, tag or path.stem)
     except UnicodeDecodeError:

@@ -123,7 +123,7 @@ class TestEnzymeGate:
     def test_common_scaling_leaves_the_label_unchanged(self):
         records, table, rng = _blob_gate(seed=2)
         gate = EnzymeGate.train(records, table)
-        scaled_table = _table({k: v * 3.7 for k, v in table.vectors.items()})
+        scaled_table = _table({k: table.get(k) * 3.7 for k in table.ids()})
         scaled = EnzymeGate.train(records, scaled_table)
         for _ in range(25):
             q = rng.normal(size=4) * 3.0
@@ -302,6 +302,13 @@ class TestEcRanker:
         shortlist = ranker.shortlist(np.array([1.0, 0.0]))
         assert {label_dict.label_of(parse_ec("1.1.1.1")),
                 label_dict.label_of(parse_ec("2.2.2.2"))} <= set(shortlist)
+
+    def test_a_repeated_ec_is_one_point(self):
+        records = [_rec("M1", "1.1.1.1;1.1.1.1"), _rec("S1", "3.3.3.3")]
+        table = _table({"M1": [1.0, 0.0], "S1": [0.0, 1.0]})
+        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
+        assert sorted(ranker.index.ids) == ["M1|1.1.1.1", "S1|3.3.3.3"]
 
     def test_recommendation_mode_caps_at_twenty_sorted(self):
         specs = [(f"{1 + i % 7}.{1 + i // 7}.1.{1 + i}", 3) for i in range(25)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,9 +47,8 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n,dtype", [(1, np.float64), (7, np.float64), (7, np.float32)])
     def test_euclidean_is_exact_and_leaves_the_table_alone(self, n, dtype):
-        # The distances are computed in place on the stacked copy: they must
-        # equal the plain two-temporary formula bit for bit, and never write
-        # through to the table's vectors.
+        # The distances must equal the plain formula bit for bit, and the
+        # table keeps a float64 copy, so the caller's vectors stay untouched.
         rng = np.random.default_rng(n)
         vectors = {f"P{i}": rng.normal(size=5).astype(dtype) for i in range(n)}
         before = {rid: vec.copy() for rid, vec in vectors.items()}
@@ -60,6 +61,53 @@ class TestBruteForce:
         assert [got[rid] for rid in ids] == want.tolist()
         for rid, vec in vectors.items():
             assert vec.dtype == dtype and np.array_equal(vec, before[rid])
+
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_makes_at_most_one_table_sized_temporary(self, metric):
+        table = make_table(2000, 64, seed=3)
+        q = np.random.default_rng(4).normal(size=64)
+        brute_force_knn(table, q, 5, metric)  # warm up lazily allocated state
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            brute_force_knn(table, q, 5, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * table.matrix().nbytes
+
+
+def _sorted_knn(table, query, k, metric):
+    """The full-sort reference: every row ranked by (distance, id)."""
+    matrix = table.matrix()
+    if metric == "euclidean":
+        diff = matrix - query
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    else:
+        norms = np.linalg.norm(matrix, axis=1)
+        dists = 1.0 - (matrix @ query) / (norms * float(np.linalg.norm(query)))
+    ids = table.ids()
+    order = sorted(range(len(ids)), key=lambda i: (dists[i], ids[i]))[:k]
+    return [(ids[i], float(dists[i])) for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_brute_force_matches_a_full_sort_under_ties(data):
+    # Small integer coordinates make equal distances common, so the cut at
+    # the k-th distance often falls inside a run of ties.
+    n = data.draw(st.integers(1, 30))
+    dim = data.draw(st.integers(1, 3))
+    coords = st.integers(1, 3).map(float)
+    rows = data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                              min_size=n, max_size=n))
+    names = data.draw(st.permutations([f"P{i:02d}" for i in range(n)]))
+    table = EmbeddingTable.from_rows("t", names, np.array(rows))
+    query = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+    k = data.draw(st.integers(1, n + 2))
+    metric = data.draw(st.sampled_from(["euclidean", "cosine"]))
+    assert brute_force_knn(table, query, k, metric) == _sorted_knn(table, query, k, metric)
 
 
 class TestAnnParams:
@@ -197,6 +245,19 @@ class TestSerialization:
             assert loaded.search(q, 8) == index.search(q, 8)
         loaded.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cosine_round_trip_keeps_every_distance(self, tmp_path):
+        # Cosine distances divide by stored row norms: a built and a loaded
+        # index must take them the same way, or distances differ in the last bit.
+        table = make_table(300, 32, seed=11)
+        params = AnnParams(m=8, ef_construction=60, ef_search=60, metric="cosine", seed=1)
+        index = AnnIndex.build(table, params)
+        index.save(tmp_path / "a.idx")
+        loaded = AnnIndex.load(tmp_path / "a.idx")
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            q = rng.normal(size=32)
+            assert loaded.search(q, 8) == index.search(q, 8)
 
     def test_load_validates_degree_bounds(self, tmp_path):
         table = make_table(30, 4, seed=13)

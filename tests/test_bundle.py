@@ -169,7 +169,8 @@ class TestRouteLazyAnnotation:
         built, _ = train_bundle(corpus, TEST_PARAMS, table=table)
         rec = corpus[0]
         assert built.best_hit(rec.seq).identity == 1.0
-        tsv, failed = annotate_to_tsv(built, [("q", rec.seq)], vectors={})
+        no_vectors = EmbeddingTable(tag="external-test", dim=8, vectors={})
+        tsv, failed = annotate_to_tsv(built, [("q", rec.seq)], vectors=no_vectors)
         assert failed == 1
         assert tsv.splitlines()[1] == (
             "q\t\t\t\t\terror: bundle embeds with 'external-test'; "

@@ -67,6 +67,65 @@ class TestEmbeddingTable:
             one_hot_table([("A", "MK"), ("A", "VL")], max_len=4)
 
 
+class TestColumnarStore:
+    def make_table(self):
+        rng = np.random.default_rng(0)
+        return EmbeddingTable.from_rows("custom", ["P0", "P1", "P2"], rng.normal(size=(3, 4)))
+
+    def test_matrix_and_rows_are_read_only(self):
+        table = self.make_table()
+        with pytest.raises(ValueError, match="read-only"):
+            table.matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.get("P1")[0] = 1.0
+
+    def test_rows_share_the_adopted_matrix(self):
+        rows = np.arange(12.0).reshape(3, 4)
+        table = EmbeddingTable.from_rows("t", ["a", "b", "c"], rows)
+        assert np.shares_memory(table.matrix(), rows)
+        assert np.shares_memory(table.get("b"), rows)
+        np.testing.assert_array_equal(table.get("b"), rows[1])
+        rows[0, 0] = -1.0  # the caller's array keeps its own write flag
+        assert table.matrix()[0, 0] == -1.0
+
+    def test_gathered_rows_are_a_copy_in_the_asked_order(self):
+        table = self.make_table()
+        got = table.matrix(["P2", "P0"])
+        np.testing.assert_array_equal(got, table.matrix()[[2, 0]])
+        assert not np.shares_memory(got, table.matrix())
+        assert table.matrix([]).shape == (0, 4)
+
+    def test_mapping_vectors_are_stored_as_float64(self):
+        vectors = {"A": np.array([1.5, 2.0], dtype=np.float32)}
+        table = EmbeddingTable(tag="t", dim=2, vectors=vectors)
+        assert table.matrix().dtype == np.float64 and table.matrix().flags.c_contiguous
+        assert vectors["A"].dtype == np.float32 and vectors["A"].flags.writeable
+
+    def test_non_finite_row_names_its_id(self):
+        rows = np.zeros((3, 2))
+        rows[2, 1] = np.inf
+        with pytest.raises(EmbeddingError, match="non-finite vector for c"):
+            EmbeddingTable.from_rows("t", ["a", "b", "c"], rows)
+
+    def test_retagged_load_adopts_the_stored_rows(self, tmp_path, monkeypatch):
+        import ecann.embedding as embedding
+
+        path = tmp_path / "a.bin"
+        save_embedding_table(self.make_table(), path)
+        read = embedding.read_container
+        stored = {}
+
+        def spy(*args):
+            meta, arrays = read(*args)
+            stored.update(arrays)
+            return meta, arrays
+
+        monkeypatch.setattr(embedding, "read_container", spy)
+        table = load_embedding_table(path, tag="renamed")
+        assert table.tag == "renamed" and table.ids() == ("P0", "P1", "P2")
+        assert np.shares_memory(table.matrix(), stored["vectors"])
+
+
 def _split_container(blob: bytes) -> tuple[dict, bytes]:
     """A container's JSON header and the bytes after it."""
     (head_len,) = struct.unpack_from("<Q", blob, len(CONTAINER_MAGIC))
@@ -92,9 +151,13 @@ class TestTableIo:
         save_embedding_table(table, p1)
         loaded = load_embedding_table(p1)
         assert loaded.tag == "custom" and loaded.dim == 7
-        for rec_id in table.vectors:
+        for rec_id in table.ids():
             np.testing.assert_array_equal(loaded.get(rec_id), table.get(rec_id))
         save_embedding_table(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        rebuilt = EmbeddingTable(tag="custom", dim=7,
+                                 vectors={rec_id: loaded.get(rec_id) for rec_id in loaded.ids()})
+        save_embedding_table(rebuilt, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_tsv_round_trip(self, tmp_path):
@@ -102,7 +165,7 @@ class TestTableIo:
         path = tmp_path / "t.tsv"
         save_embedding_table_tsv(table, path)
         loaded = load_embedding_table(path, tag="custom")
-        for rec_id in table.vectors:
+        for rec_id in table.ids():
             np.testing.assert_allclose(loaded.get(rec_id), table.get(rec_id), rtol=0, atol=0)
 
     def test_ragged_tsv_rejected(self, tmp_path):
