@@ -226,6 +226,8 @@ class Annotator:
             raise BundleError(
                 f"query {query_id!r}: vector shape {vec.shape} != ({self.table.dim},)"
             )
+        if vector is not None and not np.isfinite(vec).all():
+            raise BundleError(f"query {query_id!r}: supplied vector has non-finite values")
         # the checks above stay eager: a bad query fails whichever route answers
         hit = self.best_hit(seq) if self.policy.consults_alignment else None
         agents_answer = self.policy.route_for(hit) is PredictionSource.AGENTS

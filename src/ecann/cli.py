@@ -42,6 +42,7 @@ from .embedding import (
 from .gbdt import GbdtParams
 from .integrate import DEFAULT_IDENTITY_GRID, DEFAULT_THRESHOLD_GRID, PolicyGrid, greedy_tune
 from .metrics import (
+    CELLS,
     ConfusionCounts,
     Task1Report,
     Task2Report,
@@ -253,19 +254,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # evaluate
 
 
-_COUNT_FIELDS = ("tp", "fp", "tn", "fn", "up", "un")
-
-
 def _counts_table(path: Path) -> str:
     lines = path.read_text(encoding="utf-8").splitlines()
     rows = [line.split("\t") for line in lines if line.strip()]
     header, body = rows[0], rows[1:]
-    want = ("name",) + _COUNT_FIELDS
+    want = ("name",) + CELLS
     if tuple(header) != want:
         raise SystemExit(f"error: counts fixture needs columns {want}, got {header}")
     out = ["name\tacc\tppv\tnpv\trecall\tf1"]
     for row in body:
-        counts = ConfusionCounts(**{f: int(v) for f, v in zip(_COUNT_FIELDS, row[1:])})
+        counts = ConfusionCounts(**{f: int(v) for f, v in zip(CELLS, row[1:])})
         rep = binary_metrics(counts)
         cells = [row[0]] + [
             "undefined" if v is None else f"{v:.4f}"

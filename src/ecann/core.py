@@ -80,13 +80,6 @@ class ECNumber:
     def text(self) -> str:
         return format_ec(self)
 
-    def completeness(self) -> int:
-        """Number of known levels, 0..4."""
-        return sum(1 for lvl in self.levels if lvl is not None)
-
-    def is_complete(self) -> bool:
-        return self.levels[-1] is not None
-
     def __str__(self) -> str:
         return format_ec(self)
 

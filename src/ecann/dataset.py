@@ -312,9 +312,6 @@ class DatasetSplit:
     test: tuple[ProteinRecord, ...]
     cutoff: Optional[date] = None
 
-    def label_dictionary(self) -> LabelDictionary:
-        return build_label_dictionary(self.train)
-
     def assert_no_leakage(self) -> None:
         train_seqs = {rec.seq for rec in self.train}
         leaked = [rec.id for rec in self.test if rec.seq in train_seqs]

@@ -121,7 +121,7 @@ def _check_training_input(
 ) -> tuple[np.ndarray, np.ndarray]:
     if len(positives) == 0 or len(negatives) == 0:
         raise ValueError("both classes must be non-empty")
-    X = np.vstack([np.asarray(v, dtype=np.float64) for v in list(positives) + list(negatives)])
+    X = np.vstack([positives, negatives], dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("training vectors must be finite")
     y = np.concatenate([np.ones(len(positives)), -np.ones(len(negatives))])

@@ -3,7 +3,9 @@
 The confusion vocabulary has six cells.  Besides the usual four, UP and
 UN count gold-positive and gold-negative queries on which a tool made
 no call at all; abstentions lower accuracy and recall but never count
-against precision.  Metrics with a zero denominator are reported as an
+against precision.  ``_confusion`` is the only code that applies this
+rule: each task hands it one (claim, truth) pair per record, or per
+record and class.  Metrics with a zero denominator are reported as an
 explicit undefined marker (``None``), never silently as zero; macro
 averages treat undefined per-class values as zero contributions while
 keeping the class in the denominator.
@@ -17,9 +19,8 @@ average, which is the smaller of the two on imbalanced label sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ECNumber,
@@ -36,6 +37,8 @@ from .core import (
 
 UNDEFINED = "undefined"  # rendering of None metric values in reports
 
+CELLS = ("tp", "fp", "tn", "fn", "up", "un")
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -49,7 +52,7 @@ class ConfusionCounts:
     un: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("tp", "fp", "tn", "fn", "up", "un"):
+        for name in CELLS:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
@@ -58,15 +61,18 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn + self.up + self.un
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.tn + other.tn,
-            self.fn + other.fn,
-            self.up + other.up,
-            self.un + other.un,
-        )
+
+def _confusion(calls: Iterable[tuple[Optional[bool], bool]]) -> ConfusionCounts:
+    """Six-cell counts from (claim, truth) pairs; a ``None`` claim is an abstention."""
+    tally = dict.fromkeys(CELLS, 0)
+    for claim, truth in calls:
+        if claim is None:
+            tally["up" if truth else "un"] += 1
+        elif claim:
+            tally["tp" if truth else "fp"] += 1
+        else:
+            tally["fn" if truth else "tn"] += 1
+    return ConfusionCounts(**tally)
 
 
 @dataclass(frozen=True)
@@ -183,18 +189,12 @@ class Task1Report:
     n_records: int
 
     def rows(self) -> list[tuple[str, object]]:
-        c = self.counts
         head: list[tuple[str, object]] = [
             ("task", Task.ENZYME.value),
             ("n_records", self.n_records),
-            ("tp", c.tp),
-            ("fp", c.fp),
-            ("tn", c.tn),
-            ("fn", c.fn),
-            ("up", c.up),
-            ("un", c.un),
         ]
-        return head + list(self.metrics.rows())
+        cells = [(name, getattr(self.counts, name)) for name in CELLS]
+        return head + cells + list(self.metrics.rows())
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,17 @@ class Task3Report:
 TaskReport = Task1Report | Task2Report | Task3Report
 
 
-def _pair_by_id(
-    predictions: Sequence[Prediction], gold: Sequence[ProteinRecord]
-) -> list[tuple[Prediction, ProteinRecord]]:
+def _by_id(predictions: Sequence[Prediction]) -> dict[str, Prediction]:
     by_id = {p.id: p for p in predictions}
     if len(by_id) != len(predictions):
         raise ValueError("duplicate prediction ids")
+    return by_id
+
+
+def _pair_by_id(
+    predictions: Sequence[Prediction], gold: Sequence[ProteinRecord]
+) -> list[tuple[Prediction, ProteinRecord]]:
+    by_id = _by_id(predictions)
     gold_ids = {g.id for g in gold}
     missing = sorted(gold_ids - by_id.keys())
     extra = sorted(by_id.keys() - gold_ids)
@@ -261,27 +266,29 @@ def _count_of(pred: Prediction) -> Optional[int]:
     return pred.function_count
 
 
+def _gold_ecs(rec: ProteinRecord) -> frozenset[str]:
+    return frozenset(format_ec(ec) for ec in rec.ecs)
+
+
+def _one_vs_rest(
+    claims: Sequence[tuple[Optional[AbstractSet], AbstractSet]], classes: Iterable
+) -> dict[str, ConfusionCounts]:
+    """Per-class counts from (claimed set or None, gold set) per record."""
+    return {
+        str(cls): _confusion(
+            (None if claimed is None else cls in claimed, cls in truth)
+            for claimed, truth in claims
+        )
+        for cls in sorted(classes)
+    }
+
+
 def evaluate_enzyme_task(
     predictions: Sequence[Prediction], gold: Sequence[ProteinRecord]
 ) -> Task1Report:
     """Binary enzyme-or-not evaluation over all gold records."""
     pairs = _pair_by_id(predictions, gold)
-    tp = fp = tn = fn = up = un = 0
-    for pred, rec in pairs:
-        if pred.is_enzyme is None:
-            if rec.is_enzyme:
-                up += 1
-            else:
-                un += 1
-        elif pred.is_enzyme and rec.is_enzyme:
-            tp += 1
-        elif pred.is_enzyme and not rec.is_enzyme:
-            fp += 1
-        elif not pred.is_enzyme and rec.is_enzyme:
-            fn += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp, fp, tn, fn, up, un)
+    counts = _confusion((pred.is_enzyme, rec.is_enzyme) for pred, rec in pairs)
     return Task1Report(counts=counts, metrics=binary_metrics(counts), n_records=len(pairs))
 
 
@@ -295,33 +302,26 @@ def evaluate_function_count_task(
     an abstention contributes UP/UN cells instead.
     """
     pairs = [(p, g) for p, g in _pair_by_id(predictions, gold) if g.is_enzyme]
-    observed: set[int] = set()
-    for pred, rec in pairs:
-        observed.add(rec.function_count)
-        predicted = _count_of(pred)
-        if predicted is not None and 1 <= predicted <= MAX_FUNCTIONS:
-            observed.add(predicted)
-    per_class: dict[str, ConfusionCounts] = {}
-    for cls in sorted(observed):
-        tp = fp = tn = fn = up = un = 0
-        for pred, rec in pairs:
-            gold_has = rec.function_count == cls
-            predicted = _count_of(pred)
-            if predicted is None:
-                if gold_has:
-                    up += 1
-                else:
-                    un += 1
-            elif predicted == cls and gold_has:
-                tp += 1
-            elif predicted == cls:
-                fp += 1
-            elif gold_has:
-                fn += 1
-            else:
-                tn += 1
-        per_class[str(cls)] = ConfusionCounts(tp, fp, tn, fn, up, un)
-    return Task2Report(macro=macro_metrics(per_class), n_records=len(pairs))
+    counts = [(_count_of(pred), rec.function_count) for pred, rec in pairs]
+    observed = {truth for _, truth in counts}
+    observed.update(c for c, _ in counts if c is not None and 1 <= c <= MAX_FUNCTIONS)
+    claims = [(None if c is None else {c}, {truth}) for c, truth in counts]
+    return Task2Report(macro=macro_metrics(_one_vs_rest(claims, observed)), n_records=len(pairs))
+
+
+def _set_confusion(sets: Iterable[tuple[AbstractSet, AbstractSet]]) -> tuple[int, int, int]:
+    tp = fp = fn = 0
+    for claimed, truth in sets:
+        tp += len(claimed & truth)
+        fp += len(claimed - truth)
+        fn += len(truth - claimed)
+    return tp, fp, fn
+
+
+def _f1_of(tp: int, fp: int, fn: int) -> float:
+    if 2 * tp + fp + fn == 0:
+        return 0.0
+    return 2 * tp / (2 * tp + fp + fn)
 
 
 def ec_set_confusion(
@@ -329,28 +329,21 @@ def ec_set_confusion(
 ) -> tuple[int, int, int]:
     """Micro (tp, fp, fn) over (record, EC) pairs with exact 4-level match.
 
-    Abstentions are treated as empty predictions here: every gold EC of
-    an abstained record becomes a miss.  Non-enzyme gold records simply
-    contribute false positives for any EC claimed on them.
+    Abstentions are treated as empty predictions here (an abstention
+    carries no ECs): every gold EC of an abstained record becomes a
+    miss.  Non-enzyme gold records simply contribute false positives
+    for any EC claimed on them.
     """
-    tp = fp = fn = 0
-    for pred, rec in _pair_by_id(predictions, gold):
-        gold_set = {format_ec(ec) for ec in rec.ecs}
-        pred_set = set() if pred.is_enzyme is None else set(pred.ec_set)
-        tp += len(pred_set & gold_set)
-        fp += len(pred_set - gold_set)
-        fn += len(gold_set - pred_set)
-    return tp, fp, fn
+    return _set_confusion(
+        (pred.ec_set, _gold_ecs(rec)) for pred, rec in _pair_by_id(predictions, gold)
+    )
 
 
 def micro_ec_f1(
     predictions: Sequence[Prediction], gold: Sequence[ProteinRecord]
 ) -> float:
     """Micro-F1 over exact EC matches; 0.0 when nothing is predicted or gold."""
-    tp, fp, fn = ec_set_confusion(predictions, gold)
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+    return _f1_of(*ec_set_confusion(predictions, gold))
 
 
 def evaluate_ec_task(
@@ -370,51 +363,24 @@ def evaluate_ec_task(
     enzyme_gold = [g for g in gold if g.is_enzyme]
     included = [g for g in enzyme_gold if all(ec in label_dict for ec in g.ecs)]
     n_excluded = len(enzyme_gold) - len(included)
-    preds_by_id = {p.id: p for p in predictions}
+    preds_by_id = _by_id(predictions)
     missing = [g.id for g in included if g.id not in preds_by_id]
     if missing:
         raise ValueError(f"no prediction for gold ids (e.g. {missing[:3]})")
-    pairs = [(preds_by_id[g.id], g) for g in included]
 
-    n_correct = 0
-    classes: set[str] = set()
-    for pred, rec in pairs:
-        gold_set = {format_ec(ec) for ec in rec.ecs}
-        classes.update(gold_set)
-        if not pred.abstained_on_ec():
-            classes.update(pred.ec_set)
-            if set(pred.ec_set) == gold_set:
-                n_correct += 1
-    per_class: dict[str, ConfusionCounts] = {}
-    for cls in sorted(classes):
-        tp = fp = tn = fn = up = un = 0
-        for pred, rec in pairs:
-            gold_has = any(format_ec(ec) == cls for ec in rec.ecs)
-            if pred.abstained_on_ec():
-                if gold_has:
-                    up += 1
-                else:
-                    un += 1
-                continue
-            pred_has = cls in pred.ec_set
-            if pred_has and gold_has:
-                tp += 1
-            elif pred_has:
-                fp += 1
-            elif gold_has:
-                fn += 1
-            else:
-                tn += 1
-        per_class[cls] = ConfusionCounts(tp, fp, tn, fn, up, un)
-
-    included_preds = [p for p, _ in pairs]
-    micro_acc = None if not pairs else n_correct / len(pairs)
-    micro = micro_ec_f1(included_preds, included) if pairs else None
+    sets, claims = [], []  # (claimed ECs, gold ECs); claims hold None on an abstention
+    for rec in included:
+        pred, truth = preds_by_id[rec.id], _gold_ecs(rec)
+        claimed = pred.ec_set  # empty on an abstention
+        sets.append((claimed, truth))
+        claims.append((None if pred.abstained_on_ec() else claimed, truth))
+    classes = set().union(*(claimed | truth for claimed, truth in sets))
+    n_correct = sum(claimed == truth for claimed, truth in sets)
     return Task3Report(
-        macro=macro_metrics(per_class),
-        micro_accuracy=micro_acc,
-        micro_f1=micro,
-        n_included=len(pairs),
+        macro=macro_metrics(_one_vs_rest(claims, classes)),
+        micro_accuracy=n_correct / len(claims) if claims else None,
+        micro_f1=_f1_of(*_set_confusion(sets)) if claims else None,
+        n_included=len(claims),
         n_excluded=n_excluded,
     )
 
@@ -558,25 +524,11 @@ def report_to_tsv(report: TaskReport) -> str:
     macro = getattr(report, "macro", None)
     if macro is not None:
         lines.append("")
-        lines.append("class\ttp\tfp\ttn\tfn\tup\tun\tppv\trecall\tf1")
+        lines.append("\t".join(("class",) + CELLS + ("ppv", "recall", "f1")))
         for cls in macro.classes:
             counts, rep = macro.per_class[cls]
-            lines.append(
-                "\t".join(
-                    [
-                        cls,
-                        str(counts.tp),
-                        str(counts.fp),
-                        str(counts.tn),
-                        str(counts.fn),
-                        str(counts.up),
-                        str(counts.un),
-                        _fmt(rep.ppv),
-                        _fmt(rep.recall),
-                        _fmt(rep.f1),
-                    ]
-                )
-            )
+            cells = [str(getattr(counts, name)) for name in CELLS]
+            lines.append("\t".join([cls, *cells, _fmt(rep.ppv), _fmt(rep.recall), _fmt(rep.f1)]))
     return "\n".join(lines) + "\n"
 
 

@@ -116,6 +116,26 @@ class TestSelfAnnotation:
         with pytest.raises(BundleError, match="shape"):
             annotator.annotate_one("q", corpus[0].seq, vector=np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_fails_on_either_route(self, annotator, corpus, bad):
+        vector = np.full(annotator.table.dim, bad)
+        aligned, novel = corpus[0].seq, "MKV"  # novel: shorter than k, so no hit
+        assert annotator.best_hit(aligned) is not None and annotator.best_hit(novel) is None
+        for seq in (aligned, novel):
+            with pytest.raises(BundleError, match="'q': supplied vector has non-finite"):
+                annotator.annotate_one("q", seq, vector=vector)
+
+    def test_non_finite_vector_fails_its_row(self, annotator, corpus):
+        matrix = np.zeros((2, annotator.table.dim))
+        table = EmbeddingTable.from_rows(annotator.table.tag, ("a", "b"), matrix)
+        matrix[1, 0] = np.nan  # the table adopted the matrix, so this reaches its row
+        tsv, failed = annotate_to_tsv(annotator, [("a", corpus[0].seq), ("b", corpus[0].seq)],
+                                      vectors=table)
+        assert failed == 1
+        assert tsv.splitlines()[2] == (
+            "b\t\t\t\t\terror: query 'b': supplied vector has non-finite values"
+        )
+
 
 def _with_policy(annotator, **policy):
     return Annotator(annotator.records, annotator.table, annotator._stack,

@@ -46,14 +46,10 @@ class TestParseEc:
         ec = parse_ec("1.14.11.38")
         assert ec.levels == (1, 14, 11, 38)
         assert format_ec(ec) == "1.14.11.38"
-        assert ec.is_complete()
-        assert ec.completeness() == 4
 
     def test_partial_code_with_dashes(self):
         ec = parse_ec("1.14.-.-")
         assert ec.levels == (1, 14, None, None)
-        assert ec.completeness() == 2
-        assert not ec.is_complete()
 
     def test_short_input_padded_with_unknowns(self):
         assert format_ec(parse_ec("3.5.2")) == "3.5.2.-"
@@ -107,7 +103,7 @@ def test_parse_preserves_prefix_completeness(known, top, rest):
     levels = [top] + rest
     parts = [str(levels[i]) if i < known else "-" for i in range(4)]
     ec = parse_ec(".".join(parts))
-    assert ec.completeness() == known
+    assert sum(lvl is not None for lvl in ec.levels) == known
     # Known levels form a prefix by construction of the type.
     seen_unknown = False
     for lvl in ec.levels:

@@ -3,7 +3,7 @@ import datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from ecann.core import ProteinRecord, Task, format_ec, parse_ec
+from ecann.core import ProteinRecord, Task, build_label_dictionary, format_ec, parse_ec
 from ecann.dataset import (
     FlatfileFormatError,
     LeakageError,
@@ -275,7 +275,7 @@ class TestChronologicalSplit:
     def test_label_dictionary_covers_train_only(self, demo_snapshots):
         earlier, later = demo_snapshots
         split = chronological_split(earlier, later, Task.EC_NUMBER)
-        d = split.label_dictionary()
+        d = build_label_dictionary(split.train)
         assert all(ec in d for rec in split.train for ec in rec.ecs)
         unseen = [
             rec for rec in split.test if any(ec not in d for ec in rec.ecs)

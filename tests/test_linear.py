@@ -184,6 +184,14 @@ class TestL2Svm:
         assert np.array_equal(a.values, b.values)
         assert a.bias == b.bias
 
+    def test_lists_of_rows_train_the_same_model_as_matrices(self):
+        pos, neg = separable_blobs(seed=9)
+        a = train_l2svm(pos, neg, C=1.0)
+        for rows in ((list(pos), list(neg)), (pos, list(neg)), (list(pos), neg)):
+            b = train_l2svm(*rows, C=1.0)
+            assert np.array_equal(a.indices, b.indices) and np.array_equal(a.values, b.values)
+            assert a.bias == b.bias and a.meta == b.meta
+
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             train_l2svm([], [np.zeros(3)])

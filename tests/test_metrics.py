@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecann.core import (
+    MAX_FUNCTIONS,
     Prediction,
     PredictionSource,
     ProteinRecord,
     LabelDictionary,
     Task,
+    format_ec,
     parse_ec,
 )
 from ecann.metrics import (
     BinaryReport,
     ConfusionCounts,
+    Task1Report,
+    Task2Report,
+    Task3Report,
+    _fmt,
     binary_metrics,
     ec_set_confusion,
     evaluate_task,
@@ -297,6 +303,12 @@ class TestEcTask:
         with pytest.raises(ValueError, match="dictionary"):
             evaluate_task([], [], Task.EC_NUMBER)
 
+    def test_duplicate_prediction_ids_rejected(self):
+        gold = [record("A", ecs=("1.1.1.1",))]
+        preds = [prediction("A", ecs=("1.1.1.1",)), prediction("A", ecs=("2.1.1.1",))]
+        with pytest.raises(ValueError, match="duplicate prediction ids"):
+            evaluate_task(preds, gold, Task.EC_NUMBER, label_dict=self.make_dict())
+
 
 class TestMicroEcF1:
     def test_counts(self):
@@ -352,13 +364,20 @@ class TestPredictionIo:
         assert pred.abstained_on_ec()
 
     def test_report_renderers(self):
-        gold = [record("A", ecs=("1.1.1.1",))]
-        preds = [prediction("A", ecs=("1.1.1.1",))]
+        gold = [record("A", ecs=("1.1.1.1",)), record("B"), record("C", ecs=("2.1.1.1",))]
+        preds = [
+            prediction("A", ecs=("1.1.1.1",)),
+            prediction("B", ecs=("2.1.1.1",)),
+            Prediction("C", None, (), PredictionSource.EXTERNAL),
+        ]
         rep = evaluate_task(preds, gold, Task.ENZYME)
-        tsv = report_to_tsv(rep)
-        assert "acc\t1.0000" in tsv
-        table = format_report_table(rep)
-        assert "recall" in table
+        assert report_to_tsv(rep) == (
+            "task\tenzyme-or-not\nn_records\t3\ntp\t1\nfp\t1\ntn\t0\nfn\t0\nup\t1\n"
+            "un\t0\nacc\t0.3333\nppv\t0.5000\nnpv\tundefined\nrecall\t0.5000\nf1\t0.5000\n"
+        )
+        assert format_report_table(rep).splitlines()[:3] == [
+            "task       enzyme-or-not", "n_records  3", "tp         1",
+        ]
 
 
 @given(st.data())
@@ -380,3 +399,243 @@ def test_evaluation_is_permutation_invariant(data):
     perm = data.draw(st.permutations(preds))
     shuffled = evaluate_task(list(perm), gold, Task.ENZYME)
     assert shuffled.counts == base.counts
+
+
+# --------------------------------------------------------------------------
+# Parity with the per-task confusion loops that preceded ``_confusion``.
+# The code of the functions below is kept verbatim (names prefixed, long
+# docstrings dropped) as the oracle for the task evaluators and the
+# per-class report rows.
+
+
+def oracle_pair_by_id(predictions, gold):
+    by_id = {p.id: p for p in predictions}
+    if len(by_id) != len(predictions):
+        raise ValueError("duplicate prediction ids")
+    gold_ids = {g.id for g in gold}
+    missing = sorted(gold_ids - by_id.keys())
+    extra = sorted(by_id.keys() - gold_ids)
+    if missing or extra:
+        raise ValueError(
+            f"prediction/gold id mismatch: {len(missing)} gold ids without "
+            f"predictions (e.g. {missing[:3]}), {len(extra)} predictions "
+            f"without gold (e.g. {extra[:3]})"
+        )
+    return [(by_id[g.id], g) for g in gold]
+
+
+def oracle_count_of(pred):
+    """Predicted function count; None when the tool abstained."""
+    if pred.is_enzyme is None:
+        return None
+    if pred.is_enzyme is False:
+        return 0
+    return pred.function_count
+
+
+def oracle_evaluate_enzyme_task(predictions, gold):
+    """Binary enzyme-or-not evaluation over all gold records."""
+    pairs = oracle_pair_by_id(predictions, gold)
+    tp = fp = tn = fn = up = un = 0
+    for pred, rec in pairs:
+        if pred.is_enzyme is None:
+            if rec.is_enzyme:
+                up += 1
+            else:
+                un += 1
+        elif pred.is_enzyme and rec.is_enzyme:
+            tp += 1
+        elif pred.is_enzyme and not rec.is_enzyme:
+            fp += 1
+        elif not pred.is_enzyme and rec.is_enzyme:
+            fn += 1
+        else:
+            tn += 1
+    counts = ConfusionCounts(tp, fp, tn, fn, up, un)
+    return Task1Report(counts=counts, metrics=binary_metrics(counts), n_records=len(pairs))
+
+
+def oracle_evaluate_function_count_task(predictions, gold):
+    pairs = [(p, g) for p, g in oracle_pair_by_id(predictions, gold) if g.is_enzyme]
+    observed: set[int] = set()
+    for pred, rec in pairs:
+        observed.add(rec.function_count)
+        predicted = oracle_count_of(pred)
+        if predicted is not None and 1 <= predicted <= MAX_FUNCTIONS:
+            observed.add(predicted)
+    per_class: dict[str, ConfusionCounts] = {}
+    for cls in sorted(observed):
+        tp = fp = tn = fn = up = un = 0
+        for pred, rec in pairs:
+            gold_has = rec.function_count == cls
+            predicted = oracle_count_of(pred)
+            if predicted is None:
+                if gold_has:
+                    up += 1
+                else:
+                    un += 1
+            elif predicted == cls and gold_has:
+                tp += 1
+            elif predicted == cls:
+                fp += 1
+            elif gold_has:
+                fn += 1
+            else:
+                tn += 1
+        per_class[str(cls)] = ConfusionCounts(tp, fp, tn, fn, up, un)
+    return Task2Report(macro=macro_metrics(per_class), n_records=len(pairs))
+
+
+def oracle_ec_set_confusion(predictions, gold):
+    tp = fp = fn = 0
+    for pred, rec in oracle_pair_by_id(predictions, gold):
+        gold_set = {format_ec(ec) for ec in rec.ecs}
+        pred_set = set() if pred.is_enzyme is None else set(pred.ec_set)
+        tp += len(pred_set & gold_set)
+        fp += len(pred_set - gold_set)
+        fn += len(gold_set - pred_set)
+    return tp, fp, fn
+
+
+def oracle_micro_ec_f1(predictions, gold):
+    """Micro-F1 over exact EC matches; 0.0 when nothing is predicted or gold."""
+    tp, fp, fn = oracle_ec_set_confusion(predictions, gold)
+    if 2 * tp + fp + fn == 0:
+        return 0.0
+    return 2 * tp / (2 * tp + fp + fn)
+
+
+def oracle_evaluate_ec_task(predictions, gold, label_dict):
+    enzyme_gold = [g for g in gold if g.is_enzyme]
+    included = [g for g in enzyme_gold if all(ec in label_dict for ec in g.ecs)]
+    n_excluded = len(enzyme_gold) - len(included)
+    preds_by_id = {p.id: p for p in predictions}
+    missing = [g.id for g in included if g.id not in preds_by_id]
+    if missing:
+        raise ValueError(f"no prediction for gold ids (e.g. {missing[:3]})")
+    pairs = [(preds_by_id[g.id], g) for g in included]
+
+    n_correct = 0
+    classes: set[str] = set()
+    for pred, rec in pairs:
+        gold_set = {format_ec(ec) for ec in rec.ecs}
+        classes.update(gold_set)
+        if not pred.abstained_on_ec():
+            classes.update(pred.ec_set)
+            if set(pred.ec_set) == gold_set:
+                n_correct += 1
+    per_class: dict[str, ConfusionCounts] = {}
+    for cls in sorted(classes):
+        tp = fp = tn = fn = up = un = 0
+        for pred, rec in pairs:
+            gold_has = any(format_ec(ec) == cls for ec in rec.ecs)
+            if pred.abstained_on_ec():
+                if gold_has:
+                    up += 1
+                else:
+                    un += 1
+                continue
+            pred_has = cls in pred.ec_set
+            if pred_has and gold_has:
+                tp += 1
+            elif pred_has:
+                fp += 1
+            elif gold_has:
+                fn += 1
+            else:
+                tn += 1
+        per_class[cls] = ConfusionCounts(tp, fp, tn, fn, up, un)
+
+    included_preds = [p for p, _ in pairs]
+    micro_acc = None if not pairs else n_correct / len(pairs)
+    micro = oracle_micro_ec_f1(included_preds, included) if pairs else None
+    return Task3Report(
+        macro=macro_metrics(per_class),
+        micro_accuracy=micro_acc,
+        micro_f1=micro,
+        n_included=len(pairs),
+        n_excluded=n_excluded,
+    )
+
+
+def oracle_report_to_tsv(report):
+    lines = [f"{name}\t{_fmt(value)}" for name, value in report.rows()]
+    macro = getattr(report, "macro", None)
+    if macro is not None:
+        lines.append("")
+        lines.append("class\ttp\tfp\ttn\tfn\tup\tun\tppv\trecall\tf1")
+        for cls in macro.classes:
+            counts, rep = macro.per_class[cls]
+            lines.append(
+                "\t".join(
+                    [
+                        cls,
+                        str(counts.tp),
+                        str(counts.fp),
+                        str(counts.tn),
+                        str(counts.fn),
+                        str(counts.up),
+                        str(counts.un),
+                        _fmt(rep.ppv),
+                        _fmt(rep.recall),
+                        _fmt(rep.f1),
+                    ]
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+# More ECs than MAX_FUNCTIONS, so a claim can name a count no gold record has;
+# incomplete codes are classes of their own.
+EC_POOL = (
+    "1.1.1.1", "1.1.1.2", "2.1.1.1", "2.3.1.41", "1.14.-.-",
+    "1.14.11.38", "3.5.2.-", "4.1.1.1", "6.1.1.3", "7.-.-.-",
+)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """Shuffled predictions, gold records, predictions without gold, a dictionary.
+
+    Gold mixes enzymes and non-enzymes; predictions mix abstentions,
+    non-enzyme claims, enzyme claims without ECs and EC lists; the
+    dictionary may miss gold labels.
+    """
+    gold, preds = [], []
+    for i in range(draw(st.integers(0, 12))):
+        rid = f"R{i}"
+        gold.append(record(rid, ecs=draw(
+            st.lists(st.sampled_from(EC_POOL), max_size=MAX_FUNCTIONS, unique=True))))
+        kind = draw(st.sampled_from(["abstain", "non-enzyme", "enzyme-only", "ecs"]))
+        if kind == "abstain":
+            preds.append(Prediction(rid, None, (), PredictionSource.EXTERNAL))
+        elif kind == "non-enzyme":
+            preds.append(prediction(rid, is_enzyme=False))
+        elif kind == "enzyme-only":
+            preds.append(prediction(rid))
+        else:
+            ecs = draw(st.lists(st.sampled_from(EC_POOL), min_size=1, unique=True))
+            scores = draw(st.lists(st.floats(0, 1), min_size=len(ecs), max_size=len(ecs)))
+            preds.append(prediction(rid, ecs=ecs, scores=sorted(scores, reverse=True)))
+    extras = [prediction(f"X{j}", ecs=(EC_POOL[j],)) for j in range(draw(st.integers(0, 2)))]
+    known = draw(st.lists(st.sampled_from(EC_POOL), unique=True))
+    label_dict = LabelDictionary([parse_ec(e) for e in known])
+    return list(draw(st.permutations(preds))), gold, extras, label_dict
+
+
+@given(evaluation_cases())
+def test_task_reports_match_the_oracle_byte_for_byte(case):
+    preds, gold, extras, label_dict = case
+    reports = [
+        (evaluate_task(preds, gold, Task.ENZYME), oracle_evaluate_enzyme_task(preds, gold)),
+        (evaluate_task(preds, gold, Task.FUNCTION_COUNT),
+         oracle_evaluate_function_count_task(preds, gold)),
+        (evaluate_task(preds + extras, gold, Task.EC_NUMBER, label_dict),
+         oracle_evaluate_ec_task(preds + extras, gold, label_dict)),
+    ]
+    for new, old in reports:
+        assert new == old
+        assert report_to_tsv(new) == oracle_report_to_tsv(old)
+        assert format_report_table(new) == format_report_table(old)
+    assert ec_set_confusion(preds, gold) == oracle_ec_set_confusion(preds, gold)
+    assert micro_ec_f1(preds, gold) == oracle_micro_ec_f1(preds, gold)
