@@ -28,8 +28,7 @@ import numpy as np
 
 from .ann import AnnIndex, AnnParams, brute_force_knn
 from .core import (
-    ECNumber, LabelDictionary, ProteinRecord, format_ec, parse_ec, read_container,
-    write_container,
+    ECNumber, LabelDictionary, ProteinRecord, format_ec, read_container, write_container,
 )
 from .embedding import EmbeddingTable
 from .gbdt import GbdtModel, GbdtParams, train_gbdt
@@ -351,11 +350,10 @@ class EcRanker:
                 point_labels.append(label_dict.label_of(ec))
                 point_records.append(rec.id)
 
-        points = EmbeddingTable.from_rows(table.tag, point_ids, table.matrix(point_records))
-        index = AnnIndex.build(points, params.ann)
+        index = AnnIndex.build(table, params.ann, points=zip(point_ids, point_records))
         label_of_point = dict(zip(point_ids, point_labels))
+        record_of_point = dict(zip(point_ids, point_records))
         labels_arr = np.array(point_labels)
-        vectors = points.matrix()
 
         classifiers: dict[int, LinearModel] = {}
         negatives_used: dict[int, int] = {}
@@ -371,9 +369,10 @@ class EcRanker:
             per_positive = min(
                 math.ceil(params.negative_budget / pos_rows.size), n_points
             )
+            positives = table.matrix([point_records[row] for row in pos_rows])
             negative_ids: set[str] = set()
-            for row in pos_rows:
-                for pid, _dist in index.search(vectors[row], per_positive):
+            for vec in positives:
+                for pid, _dist in index.search(vec, per_positive):
                     if label_of_point[pid] != label:
                         negative_ids.add(pid)
             if not negative_ids:  # degenerate sampling: take other-label points directly
@@ -392,8 +391,8 @@ class EcRanker:
             assert len(negative_ids) <= params.negative_budget + pos_rows.size
             negatives_used[label] = len(negative_ids)
             model = train_l2svm(
-                vectors[pos_rows],
-                points.matrix(sorted(negative_ids)),
+                positives,
+                table.matrix([record_of_point[pid] for pid in sorted(negative_ids)]),
                 C=params.svm_c,
                 max_iter=params.svm_max_iter,
                 tol=params.svm_tol,
@@ -436,16 +435,15 @@ class EcRanker:
     # -- persistence -----------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write the ranker into ``directory`` as three sibling files."""
+        """Write the ranker into ``directory`` as three sibling files.  They hold
+        no vectors, labels or parameters: :meth:`load` takes those from the bundle."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.index.save(directory / "ranker_index.bin")
         save_classifiers(directory / "ranker_classifiers.bin", self.classifiers)
         meta = {
             "format": "ec-ranker",
-            "version": 1,
-            "params": asdict(self.params),
-            "labels": [format_ec(self.label_dict.ec_of(i)) for i in range(len(self.label_dict))],
+            "version": 2,
             "label_of_point": self.label_of_point,
             "negatives_used": {str(k): v for k, v in self.negatives_used.items()},
         }
@@ -454,21 +452,23 @@ class EcRanker:
         )
 
     @classmethod
-    def load(cls, directory: str | Path) -> "EcRanker":
+    def load(cls, directory: str | Path, table: EmbeddingTable,
+             label_dict: LabelDictionary, params: EcRankerParams) -> "EcRanker":
+        """Read a saved ranker whose index addresses rows of ``table``."""
         directory = Path(directory)
         meta = json.loads((directory / "ranker_meta.json").read_text(encoding="ascii"))
         if not isinstance(meta, dict):
             raise AgentError("EC-ranker payload must be a JSON object")
-        if meta.get("format") != "ec-ranker" or meta.get("version") != 1:
+        if meta.get("format") != "ec-ranker" or meta.get("version") != 2:
             raise AgentError("unrecognized EC-ranker payload")
         try:
-            raw = meta["params"]
-            params = EcRankerParams(**{**raw, "ann": AnnParams(**raw["ann"])})
-            label_dict = LabelDictionary(parse_ec(text) for text in meta["labels"])
             label_of_point = {str(k): int(v) for k, v in meta["label_of_point"].items()}
             negatives_used = {int(k): int(v) for k, v in meta["negatives_used"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise AgentError(f"{directory}: bad EC-ranker payload: {exc}") from exc
-        index = AnnIndex.load(directory / "ranker_index.bin")
+        index = AnnIndex.load(directory / "ranker_index.bin", table)
+        if label_of_point.keys() != set(index.ids) or not all(
+                0 <= label < len(label_dict) for label in label_of_point.values()):
+            raise AgentError(f"{directory}: ranker points disagree with the index or labels")
         classifiers = load_classifiers(directory / "ranker_classifiers.bin")
         return cls(label_dict, classifiers, index, label_of_point, params, negatives_used)

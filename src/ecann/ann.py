@@ -9,11 +9,12 @@ heuristic and pruning any adjacency list that outgrows its cap (m per
 upper layer, 2m on the ground layer).  Queries descend the same way and
 run a best-first beam of width ef_search on the ground layer.
 
-Construction is single-threaded and fully deterministic for a fixed
-seed and insertion order; that, not speed, is the canonical behaviour.
-Returned distances are exact (recomputed in float64), only the
-neighbour *set* is approximate.  ``brute_force_knn`` is the exact
-oracle used to measure recall.
+A node is a row of an embedding table, which holds its vector; the index
+keeps and saves only row numbers.  Construction is single-threaded and
+fully deterministic for a fixed seed and insertion order; that, not
+speed, is the canonical behaviour.  Returned distances are exact
+(recomputed in float64), only the neighbour *set* is approximate.
+``brute_force_knn`` is the exact oracle used to measure recall.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -98,16 +99,20 @@ def brute_force_knn(
 
 
 class AnnIndex:
-    """Layered graph index over an embedding table."""
+    """Layered graph index whose node i has the vector ``matrix[rows[i]]``.  Cosine
+    norms are taken for the whole matrix, so built and loaded indexes agree bit for bit."""
 
-    def __init__(self, params: AnnParams, dim: int):
+    def __init__(self, params: AnnParams, matrix: np.ndarray, rows: Sequence[int]):
         self.params = params
-        self.dim = dim
+        self.dim = matrix.shape[1]
         self.ids: list[str] = []
         self.levels: list[int] = []
         self.graph: list[list[list[int]]] = []  # graph[node][layer] -> neighbours
-        self._matrix = np.zeros((0, dim), dtype=np.float64)
-        self._norms = np.zeros(0, dtype=np.float64)
+        self._matrix = matrix
+        self._rows = np.asarray(rows, dtype=np.intp)
+        self._norms = np.linalg.norm(matrix, axis=1) if params.metric == "cosine" else None
+        if self._norms is not None and np.any(self._norms[self._rows] == 0.0):
+            raise ValueError("cosine metric cannot index zero vectors")
         self.entry: int = -1
         self.top_level: int = -1
         self._rng = np.random.default_rng(params.seed)
@@ -118,35 +123,32 @@ class AnnIndex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, table: EmbeddingTable, params: AnnParams) -> "AnnIndex":
-        index = cls(params, table.dim)
-        index._reserve(table.matrix())
-        for rec_id, vec in zip(table.ids(), table.matrix()):
-            index._insert(rec_id, vec)
+    def build(cls, table: EmbeddingTable, params: AnnParams,
+              points: Optional[Iterable[tuple[str, str]]] = None) -> "AnnIndex":
+        """Insert ``points``, (node id, table id) pairs, in order; by default
+        every table id is a node of its own."""
+        points = list(points) if points is not None else [(i, i) for i in table.ids()]
+        index = cls(params, table.matrix(), table.rows([rec_id for _, rec_id in points]))
+        for node_id, _ in points:
+            index._insert(node_id)
         return index
-
-    def _reserve(self, matrix: np.ndarray) -> None:
-        """Adopt ``matrix`` as the node vectors, row i as node i.  Cosine norms are
-        taken for all rows at once, so built and loaded indexes agree bit for bit."""
-        self._matrix = matrix
-        if self.params.metric == "cosine":
-            self._norms = np.linalg.norm(matrix, axis=1)
-            if np.any(self._norms == 0.0):
-                raise ValueError("cosine metric cannot index zero vectors")
 
     def _random_level(self) -> int:
         u = float(self._rng.random())
         u = max(u, np.finfo(float).tiny)
         return int(-np.log(u) * self.params.level_scale)
 
-    def _dist_many(self, q: np.ndarray, q_norm: float, idxs: Sequence[int]) -> np.ndarray:
+    def _dist_many(self, q: np.ndarray, q_norm: float, nodes: Sequence[int]) -> np.ndarray:
         return _distances(
             self.params.metric, self._matrix, self._norms, q, q_norm,
-            np.asarray(idxs, dtype=np.intp),
+            self._rows[np.asarray(nodes, dtype=np.intp)],
         )
 
+    def _vector(self, node: int) -> np.ndarray:
+        return self._matrix[self._rows[node]]
+
     def _norm_of(self, node: int) -> float:
-        return self._norms[node] if self.params.metric == "cosine" else 1.0
+        return self._norms[self._rows[node]] if self.params.metric == "cosine" else 1.0
 
     def _q_norm(self, q: np.ndarray) -> float:
         if self.params.metric != "cosine":
@@ -203,17 +205,18 @@ class AnnIndex:
                 continue
             selected.append(node)
             if len(selected) < m and i + 1 < len(nodes):
-                to_rest = self._dist_many(self._matrix[node], self._norm_of(node), nodes[i + 1:])
+                to_rest = self._dist_many(self._vector(node), self._norm_of(node), nodes[i + 1:])
                 np.minimum(nearest[i + 1:], to_rest, out=nearest[i + 1:])
         return selected + pruned[: m - len(selected)]
 
-    def _insert(self, rec_id: str, vec: np.ndarray) -> None:
-        """Link the next reserved row, whose vector is ``vec``, into the graph."""
+    def _insert(self, node_id: str) -> None:
+        """Link the next of the constructor's rows into the graph as ``node_id``."""
         node = len(self.ids)
-        if node >= len(self._matrix):
+        if node >= len(self._rows):
             raise RuntimeError("index capacity exhausted; build from a table")
+        vec = self._vector(node)
         level = self._random_level()
-        self.ids.append(rec_id)
+        self.ids.append(node_id)
         self.levels.append(level)
         self.graph.append([[] for _ in range(level + 1)])
         if self.entry < 0:
@@ -232,7 +235,7 @@ class AnnIndex:
                 links = self.graph[nb][layer]
                 links.append(node)
                 if len(links) > cap:
-                    dists = self._dist_many(self._matrix[nb], self._norm_of(nb), links)
+                    dists = self._dist_many(self._vector(nb), self._norm_of(nb), links)
                     ranked = sorted(zip(dists.tolist(), links))
                     self.graph[nb][layer] = self._select_neighbors(ranked, cap)
             eps = [n for _, n in found]
@@ -296,33 +299,35 @@ class AnnIndex:
 
     def save(self, path: str | Path) -> None:
         """Container with ``meta = {params, ids, entry, top_level}`` and the
-        arrays ``levels``, ``vectors``, ``degrees`` (one per node-layer, in
-        node then layer order) and ``links`` (every list, concatenated)."""
+        arrays ``levels``, ``rows`` (each node's table row, not its vector),
+        ``degrees`` (one per node-layer, in node then layer order) and
+        ``links`` (every list, concatenated)."""
         lists = [links for layers in self.graph for links in layers]
         meta = {"params": asdict(self.params), "ids": self.ids,
                 "entry": self.entry, "top_level": self.top_level}
         write_container(path, _KIND, meta, {
             "levels": np.asarray(self.levels, dtype="<u4"),
-            "vectors": self._matrix[: len(self.ids)],
+            "rows": self._rows[: len(self.ids)].astype("<u4"),
             "degrees": np.asarray([len(links) for links in lists], dtype="<u4"),
             "links": np.asarray([nb for links in lists for nb in links], dtype="<u4"),
         })
 
     @classmethod
-    def load(cls, path: str | Path) -> "AnnIndex":
-        """Read a saved index; any damage raises :class:`AnnFormatError`."""
+    def load(cls, path: str | Path, table: EmbeddingTable) -> "AnnIndex":
+        """Read an index saved over ``table``; any damage raises :class:`AnnFormatError`."""
         meta, arrays = read_container(path, _KIND, AnnFormatError)
         try:
-            ids, vectors, links = meta["ids"], arrays["vectors"], arrays["links"]
+            ids, rows, links = meta["ids"], arrays["rows"], arrays["links"]
             levels, degrees = arrays["levels"].tolist(), arrays["degrees"].tolist()
-            if vectors.ndim != 2 or not len(ids) == len(levels) == len(vectors):
-                raise AnnFormatError("ids, levels and vectors disagree on the node count")
+            if rows.shape != (len(ids),) or len(levels) != len(ids):
+                raise AnnFormatError("ids, levels and rows disagree on the node count")
+            if rows.dtype != np.uint32 or np.any(rows >= len(table)):
+                raise AnnFormatError(f"a node row is outside the {len(table)}-row table")
             if len(degrees) != len(levels) + sum(levels) or sum(degrees) != len(links):
                 raise AnnFormatError("degrees disagree with the levels or the links")
-            index = cls(AnnParams(**meta["params"]), vectors.shape[1])
+            index = cls(AnnParams(**meta["params"]), table.matrix(), rows)
             index.ids = list(ids)
             index.levels = levels
-            index._reserve(vectors)
             index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
             index.entry, index.top_level = meta["entry"], meta["top_level"]
             index.validate()

@@ -4,9 +4,11 @@ A bundle is a self-contained directory.  ``manifest.json`` carries the
 format tag, the embedding recipe, the integration policy, all training
 parameters, and a sha256 digest per artifact file; the artifacts are the
 training records (flat file), the embedding table, the count model, the
-EC ranker, and the label dictionary.  Nothing in the directory encodes
-wall-clock time, so rebuilding from the same inputs reproduces every
-byte.
+EC ranker, and the label dictionary.  Each fact is stored once: the
+ranker's index holds rows of the embedding table, not vectors, and the
+ranker takes its labels and parameters from ``labels.tsv`` and the
+manifest.  No file encodes wall-clock time, so rebuilding from the same
+inputs reproduces every byte.
 
 The enzyme gate and the k-mer alignment index hold no fitted state
 beyond the stored records and vectors, so they are rebuilt on load
@@ -59,7 +61,7 @@ from .integrate import (
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "ec-annotation-bundle"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.tsv"
@@ -127,8 +129,7 @@ class _Stack:
 
     gate: EnzymeGate
     counts: FunctionCountModel
-    ranker: EcRanker
-    label_dict: LabelDictionary
+    ranker: EcRanker  # holds the label dictionary
     aligner: KmerIndex
 
 
@@ -145,8 +146,7 @@ def _fit_stack(
     counts = FunctionCountModel.train(enzymes, table, params.counts)
     ranker = EcRanker.train(enzymes, table, label_dict, params.ranker)
     aligner = KmerIndex.build(records, params.alignment)
-    return _Stack(gate=gate, counts=counts, ranker=ranker,
-                  label_dict=label_dict, aligner=aligner)
+    return _Stack(gate=gate, counts=counts, ranker=ranker, aligner=aligner)
 
 
 class Annotator:
@@ -165,10 +165,6 @@ class Annotator:
         self._stack = stack
         self.policy = policy
         self.params = params
-
-    @property
-    def label_dict(self) -> LabelDictionary:
-        return self._stack.label_dict
 
     def embed(self, seq: str) -> np.ndarray:
         if self.table.tag != ONE_HOT_TAG:
@@ -258,7 +254,7 @@ class Annotator:
         write_flatfile(self.records, directory / RECORDS_FILE)
         save_embedding_table(self.table, directory / EMBEDDINGS_FILE)
         self._stack.counts.save(directory / COUNTS_FILE)
-        self._stack.label_dict.save(directory / LABELS_FILE)
+        self._stack.ranker.label_dict.save(directory / LABELS_FILE)
         self._stack.ranker.save(directory)
         manifest = {
             "format": BUNDLE_FORMAT,
@@ -313,11 +309,11 @@ class Annotator:
                 f"embedding tag mismatch: table {table.tag!r} "
                 f"!= manifest {manifest['embedding_tag']!r}"
             )
+        label_dict = LabelDictionary.load(directory / LABELS_FILE)
         stack = _Stack(
             gate=EnzymeGate.train(records, table, params.gate),
             counts=FunctionCountModel.load(directory / COUNTS_FILE),
-            ranker=EcRanker.load(directory),
-            label_dict=LabelDictionary.load(directory / LABELS_FILE),
+            ranker=EcRanker.load(directory, table, label_dict, params.ranker),
             aligner=KmerIndex.build(records, params.alignment),
         )
         return cls(records=records, table=table, stack=stack,

@@ -221,7 +221,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                         {"policy": policy.to_dict(), "f1": score}
                         for policy, score in tune_result.scoreboard
                     ],
-                    "trajectory": list(tune_result.trajectory),
                 },
                 sort_keys=True, indent=2,
             ) + "\n",

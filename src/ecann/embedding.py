@@ -87,11 +87,13 @@ class EmbeddingTable:
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
+    def rows(self, ids: Sequence[str]) -> np.ndarray:
+        """The row number of each of ``ids``, in order."""
+        return np.array([self._row(rec_id) for rec_id in ids], dtype=np.intp)
+
     def matrix(self, ids: Optional[Sequence[str]] = None) -> np.ndarray:
         """The whole matrix (no copy), or a copy of the rows of ``ids`` in order."""
-        if ids is None:
-            return self._matrix
-        return self._matrix[[self._row(rec_id) for rec_id in ids]]
+        return self._matrix if ids is None else self._matrix[self.rows(ids)]
 
 
 def one_hot_encode(seq: str, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:

@@ -7,16 +7,15 @@ always fires: the enzyme gate can veto, otherwise the count model
 truncates the ranked EC candidates.  A policy where no route fires
 yields an abstention (only possible without the agent route).
 
-Tuning is a scan of a finite policy grid followed by coordinate-wise
-greedy refinement, maximizing micro F1 of exact EC matches on a held-out
-validation slice.
+Tuning scores every point of a finite policy grid and keeps the best
+micro F1 of exact EC matches on a held-out validation slice.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .agents import MAX_RECOMMENDATIONS, RankingMode
@@ -224,8 +223,6 @@ class TuneResult:
     objective: float
     # every grid point in evaluation order
     scoreboard: tuple[tuple[IntegrationPolicy, float], ...]
-    # accepted greedy steps: (field changed, objective after the step)
-    trajectory: tuple[tuple[str, float], ...]
 
 
 def greedy_tune(
@@ -235,12 +232,12 @@ def greedy_tune(
     grid: PolicyGrid = PolicyGrid(),
     mode: RankingMode = RankingMode.PREDICTION,
 ) -> TuneResult:
-    """Pick the policy maximizing validation micro EC F1.
+    """Pick the grid policy maximizing validation micro EC F1; ties keep the
+    earlier one.
 
-    Scores the whole grid, starts greedy refinement from the grid
-    argmax, and sweeps one field at a time accepting only strict
-    improvements until a full sweep changes nothing.  Deterministic:
-    ties keep the earlier candidate.
+    The scan is the whole search: a step that changes one field of the
+    argmax to another value of its axis lands on a grid point already
+    scored, so it cannot beat the argmax.
     """
     if not validation:
         raise IntegrationError("validation split is empty")
@@ -261,33 +258,4 @@ def greedy_tune(
     scoreboard = [(policy, objective(policy)) for policy in grid.policies()]
     best_policy, best_score = max(scoreboard, key=lambda row: row[1])
     log.info("grid scan: %d policies, best F1 %.4f", len(scoreboard), best_score)
-
-    axes: tuple[tuple[str, tuple], ...] = (
-        ("alignment_min_identity", grid.identities),
-        ("agent1_threshold", grid.thresholds),
-        ("precedence", grid.precedences),
-        ("use_count_hint", grid.count_hints),
-    )
-    trajectory: list[tuple[str, float]] = [("start", best_score)]
-    improved = True
-    while improved:
-        improved = False
-        for field_name, values in axes:
-            for value in values:
-                if getattr(best_policy, field_name) == value:
-                    continue
-                candidate = replace(best_policy, **{field_name: value})
-                score = objective(candidate)
-                if score > best_score:
-                    assert score >= trajectory[-1][1]  # objective never decreases
-                    best_policy, best_score = candidate, score
-                    trajectory.append((field_name, score))
-                    log.info("greedy accepted %s=%r, F1 %.4f",
-                             field_name, value, score)
-                    improved = True
-    return TuneResult(
-        policy=best_policy,
-        objective=best_score,
-        scoreboard=tuple(scoreboard),
-        trajectory=tuple(trajectory),
-    )
+    return TuneResult(policy=best_policy, objective=best_score, scoreboard=tuple(scoreboard))

@@ -235,9 +235,11 @@ TaskReport = Task1Report | Task2Report | Task3Report
 
 
 def _by_id(predictions: Sequence[Prediction]) -> dict[str, Prediction]:
-    by_id = {p.id: p for p in predictions}
-    if len(by_id) != len(predictions):
-        raise ValueError("duplicate prediction ids")
+    by_id: dict[str, Prediction] = {}
+    for pred in predictions:
+        if pred.id in by_id:
+            raise ValueError(f"duplicate prediction ids (e.g. {pred.id!r})")
+        by_id[pred.id] = pred
     return by_id
 
 
@@ -450,17 +452,19 @@ def load_external_predictions(path: str | Path) -> list[Prediction]:
     claims "enzyme".
     """
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    text = path.read_text(encoding="utf-8")
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         return []
     start = 0
     header: Optional[list[str]] = None
-    first = [c.strip().lower() for c in lines[0].split("\t")]
+    first = [c.strip().lower() for c in lines[0][1].split("\t")]
     if first and first[0] in {"id", "#id"}:
         header = first
         start = 1
     predictions: list[Prediction] = []
-    for line_no, line in enumerate(lines[start:], start=start + 1):
+    seen: set[str] = set()
+    for line_no, line in lines[start:]:
         cols = line.split("\t")
         where = f"{path}:{line_no}"
         if header is not None:
@@ -480,6 +484,9 @@ def load_external_predictions(path: str | Path) -> list[Prediction]:
             score_raw = ""
         if not rec_id:
             raise ValueError(f"{where}: missing id")
+        if rec_id in seen:
+            raise ValueError(f"{where}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
         is_enzyme = _parse_enzyme_field(enzyme_raw, where)
         ecs = parse_ec_list(ec_raw) if ec_raw.strip().lower() not in _BLANK else ()
         if ecs and is_enzyme is None:

@@ -155,11 +155,9 @@ def test_ann_index_recall_and_per_insertion_invariants():
                            vectors={rid: points[i] for i, rid in enumerate(ids)})
     params = AnnParams(m=16, ef_construction=200, ef_search=300, seed=0)
 
-    index = AnnIndex(params, dim=dim)
-    matrix = table.matrix(ids)
-    index._reserve(matrix)
-    for rid, vec in zip(ids, matrix):
-        index._insert(rid, vec)
+    index = AnnIndex(params, table.matrix(), table.rows(ids))
+    for rid in ids:
+        index._insert(rid)
         index.validate()  # degree caps and layer membership after every insertion
 
     hits = 0

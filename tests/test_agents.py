@@ -376,7 +376,7 @@ class TestEcRanker:
         label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         ranker.save(tmp_path / "a")
-        again = EcRanker.load(tmp_path / "a")
+        again = EcRanker.load(tmp_path / "a", table, label_dict, _FAST_RANKER)
         assert again.params == ranker.params
         assert again.label_of_point == ranker.label_of_point
         assert again.negatives_used == ranker.negatives_used
@@ -405,12 +405,12 @@ class TestEcRanker:
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(AgentError, match="truncated"):
-                EcRanker.load(tmp_path)
+                EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
         path.write_bytes(blob + b"\0")
         with pytest.raises(AgentError, match="trailing"):
-            EcRanker.load(tmp_path)
+            EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
         path.write_bytes(blob)
-        assert set(EcRanker.load(tmp_path).classifiers) == {0, 1}
+        assert set(EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER).classifiers) == {0, 1}
 
     def test_out_of_range_weight_index_is_a_named_error(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
@@ -421,7 +421,7 @@ class TestEcRanker:
         arrays = dict(arrays, **{"0.indices": arrays["0.indices"] | np.int32(1 << 23)})
         write_container(path, "ranker-classifiers", meta, arrays)
         with pytest.raises(AgentError, match="out of range"):
-            EcRanker.load(tmp_path)
+            EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
 
     def test_non_object_meta_rejected(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
@@ -429,17 +429,34 @@ class TestEcRanker:
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
         meta_path = tmp_path / "ranker_meta.json"
         meta = json.loads(meta_path.read_text(encoding="ascii"))
+        load = lambda: EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)  # noqa: E731
         meta_path.write_text("[1, 2]", encoding="ascii")
         with pytest.raises(AgentError, match="JSON object"):
-            EcRanker.load(tmp_path)
-        meta["params"]["shortlist"] = 5  # not an EcRankerParams field
+            load()
+        assert meta.keys() == {"format", "version", "label_of_point", "negatives_used"}
+        meta_path.write_text(json.dumps(dict(meta, version=1)), encoding="ascii")
+        with pytest.raises(AgentError, match="unrecognized"):
+            load()
+        meta_path.write_text(json.dumps(dict(meta, label_of_point=[1, 2])), encoding="ascii")
+        with pytest.raises(AgentError, match="bad EC-ranker payload"):
+            load()
+        del meta["negatives_used"]
         meta_path.write_text(json.dumps(meta), encoding="ascii")
         with pytest.raises(AgentError, match="bad EC-ranker payload"):
-            EcRanker.load(tmp_path)
-        del meta["params"]["shortlist"], meta["labels"]
-        meta_path.write_text(json.dumps(meta), encoding="ascii")
-        with pytest.raises(AgentError, match="bad EC-ranker payload"):
-            EcRanker.load(tmp_path)
+            load()
+
+    def test_points_must_match_the_index_and_the_labels(self, tmp_path):
+        records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
+        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
+        meta_path = tmp_path / "ranker_meta.json"
+        meta = json.loads(meta_path.read_text(encoding="ascii"))
+        first = next(iter(meta["label_of_point"]))
+        for points in ({k: v for k, v in meta["label_of_point"].items() if k != first},
+                       dict(meta["label_of_point"], **{first: len(label_dict)})):
+            meta_path.write_text(json.dumps(dict(meta, label_of_point=points)), encoding="ascii")
+            with pytest.raises(AgentError, match="disagree"):
+                EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
 
     def test_training_is_deterministic(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.2.2.2", 8)])

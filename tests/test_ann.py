@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecann.ann import AnnFormatError, AnnIndex, AnnParams, brute_force_knn
+from ecann.core import read_container
 from ecann.embedding import EmbeddingTable
 
 
@@ -164,7 +165,7 @@ class TestBuildAndSearch:
         assert dists == sorted(dists)
 
     def test_empty_index(self):
-        index = AnnIndex(AnnParams(m=4), dim=3)
+        index = AnnIndex(AnnParams(m=4), np.zeros((0, 3)), [])
         assert index.search(np.zeros(3), 5) == []
 
     def test_query_shape_checked(self):
@@ -237,7 +238,7 @@ class TestSerialization:
         index = AnnIndex.build(table, AnnParams(m=8, ef_construction=60, ef_search=60, seed=1))
         p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
         index.save(p1)
-        loaded = AnnIndex.load(p1)
+        loaded = AnnIndex.load(p1, table)
         assert loaded.params == index.params
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -253,7 +254,7 @@ class TestSerialization:
         params = AnnParams(m=8, ef_construction=60, ef_search=60, metric="cosine", seed=1)
         index = AnnIndex.build(table, params)
         index.save(tmp_path / "a.idx")
-        loaded = AnnIndex.load(tmp_path / "a.idx")
+        loaded = AnnIndex.load(tmp_path / "a.idx", table)
         rng = np.random.default_rng(12)
         for _ in range(50):
             q = rng.normal(size=32)
@@ -267,28 +268,72 @@ class TestSerialization:
         path = tmp_path / "bad.idx"
         index.save(path)
         with pytest.raises(AnnFormatError, match="degree"):
-            AnnIndex.load(path)
+            AnnIndex.load(path, table)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
         path.write_bytes(b"NOTANIDX" * 4)
         with pytest.raises(ValueError, match="container"):
-            AnnIndex.load(path)
+            AnnIndex.load(path, make_table(3, 2))
 
     def test_every_truncation_and_padding_is_a_named_error(self, tmp_path):
-        index = AnnIndex.build(make_table(6, 3, seed=14), AnnParams(m=2, ef_construction=8))
+        table = make_table(6, 3, seed=14)
+        index = AnnIndex.build(table, AnnParams(m=2, ef_construction=8))
         path = tmp_path / "a.idx"
         index.save(path)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(AnnFormatError):
-                AnnIndex.load(path)
+                AnnIndex.load(path, table)
         path.write_bytes(blob + b"\0")
         with pytest.raises(AnnFormatError, match="trailing"):
-            AnnIndex.load(path)
+            AnnIndex.load(path, table)
         path.write_bytes(blob)
-        assert AnnIndex.load(path).graph == index.graph
+        assert AnnIndex.load(path, table).graph == index.graph
+
+    def test_index_file_holds_rows_not_vectors(self, tmp_path):
+        # Integer coordinates make every distance exact, so the same points
+        # zero-padded to a wider dim give the same graph, hence the same file.
+        rng = np.random.default_rng(16)
+        narrow = rng.integers(-5, 6, size=(40, 4)).astype(float)
+        wide = np.hstack([narrow, np.zeros((40, 60))])
+        ids = [f"P{i:02d}" for i in range(40)]
+        params = AnnParams(m=4, ef_construction=20)
+        blobs = []
+        for dim, matrix in ((4, narrow), (64, wide)):
+            path = tmp_path / f"d{dim}.idx"
+            AnnIndex.build(EmbeddingTable.from_rows("t", ids, matrix), params).save(path)
+            _, arrays = read_container(path, "ann-index", AnnFormatError)
+            assert "rows" in arrays and all(a.dtype != np.float64 for a in arrays.values())
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_points_address_table_rows(self, tmp_path):
+        # Several nodes may share a row; a table too short for a row is refused.
+        table = make_table(10, 3, seed=17)
+        points = [(f"{rid}|{k}", rid) for k in range(2) for rid in table.ids()[2:8]]
+        index = AnnIndex.build(table, AnnParams(m=4, ef_construction=20), points=points)
+        assert index.ids == [node_id for node_id, _ in points]
+        q = np.ones(3)
+        want = brute_force_knn(EmbeddingTable.from_rows(
+            "p", index.ids, table.matrix([rid for _, rid in points])), q, 5)
+        assert index.search(q, 5, ef_search=len(points)) == want
+        index.save(tmp_path / "a.idx")
+        assert AnnIndex.load(tmp_path / "a.idx", table).search(q, 5) == index.search(q, 5)
+        with pytest.raises(AnnFormatError, match="outside the 7-row table"):
+            AnnIndex.load(tmp_path / "a.idx", make_table(7, 3))
+
+    def test_cosine_checks_only_indexed_rows_for_zero(self):
+        table = EmbeddingTable.from_rows("t", ["Z", "A", "B"], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        cosine = AnnParams(m=2, metric="cosine")
+        index = AnnIndex.build(table, cosine, points=[("A", "A"), ("B", "B")])
+        assert [rid for rid, _ in index.search(np.array([1.0, 0.1]), 2)] == ["A", "B"]
+        with pytest.raises(ValueError, match="zero"):
+            AnnIndex.build(table, cosine)
+
+
+_FLIP_TABLE = make_table(30, 4, seed=15)
 
 
 @given(data=st.data())
@@ -296,15 +341,15 @@ class TestSerialization:
 def test_bit_flip_is_a_named_error_or_a_valid_index(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "ann-bit-flip.idx"
     if not path.exists():
-        table = make_table(30, 4, seed=15)
-        AnnIndex.build(table, AnnParams(m=4, ef_construction=20)).save(path)
+        AnnIndex.build(_FLIP_TABLE, AnnParams(m=4, ef_construction=20)).save(path)
     blob = bytearray(path.read_bytes())
     blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
     flipped = path.with_suffix(".flipped")
     flipped.write_bytes(bytes(blob))
     try:
-        with np.errstate(over="ignore"):  # a flipped exponent is still a vector
-            loaded = AnnIndex.load(flipped)
+        loaded = AnnIndex.load(flipped, _FLIP_TABLE)
     except AnnFormatError:
         return
     loaded.validate()
+    hits = loaded.search(np.ones(4), 3)  # a flipped link may strand nodes, never hang
+    assert len(hits) <= 3 and all(rid in loaded.ids for rid, _ in hits)

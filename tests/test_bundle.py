@@ -214,6 +214,21 @@ class TestPersistence:
         queries = [(f"q-{rec.id}", rec.seq) for rec in corpus[:10]]
         assert again.annotate(queries) == annotator.annotate(queries)
 
+    def test_ranker_index_reads_the_bundle_table(self, saved_dir):
+        again = Annotator.load(saved_dir)
+        index = again._stack.ranker.index
+        assert np.shares_memory(index._vector(0), again.table.matrix())
+        for node, point_id in enumerate(index.ids):
+            assert np.array_equal(index._vector(node), again.table.get(point_id.rsplit("|", 1)[0]))
+
+    def test_version_2_bundle_is_refused(self, saved_dir, tmp_path):
+        target = tmp_path / "v2"
+        target.mkdir()
+        manifest = json.loads((saved_dir / MANIFEST_FILE).read_text())
+        (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=2)))
+        with pytest.raises(BundleError, match="unrecognized bundle format"):
+            Annotator.load(target)
+
     def test_resave_is_byte_identical(self, saved_dir, tmp_path):
         again = Annotator.load(saved_dir)
         other = tmp_path / "resaved"

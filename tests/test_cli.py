@@ -257,6 +257,19 @@ class TestEvaluate:
                      "--min-f1", "0.5"])
         assert code == EXIT_ERROR
 
+    def test_repeated_prediction_id_fails_naming_id_and_line(self, prepared, tmp_path, capsys):
+        gold_path = prepared / "enzyme-or-not.test.tsv"
+        gold, _ = parse_flatfile(gold_path)
+        preds = [Prediction(id=rec.id, is_enzyme=rec.is_enzyme, ranked_ecs=(),
+                            source=PredictionSource.EXTERNAL) for rec in gold]
+        pred_path = tmp_path / "pred.tsv"
+        write_predictions_tsv(preds + preds[:1], pred_path)  # header, then one row a line
+        code = main(["evaluate", "--task", "enzyme-or-not",
+                     "--pred", str(pred_path), "--gold", str(gold_path)])
+        assert code == EXIT_ERROR
+        line = len(preds) + 2
+        assert f"{pred_path}:{line}: duplicate id {gold[0].id!r}" in capsys.readouterr().err
+
     def test_ec_task_requires_train_flag(self, prepared, tmp_path):
         pred_path = tmp_path / "pred.tsv"
         write_predictions_tsv([], pred_path)

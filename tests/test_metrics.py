@@ -306,7 +306,7 @@ class TestEcTask:
     def test_duplicate_prediction_ids_rejected(self):
         gold = [record("A", ecs=("1.1.1.1",))]
         preds = [prediction("A", ecs=("1.1.1.1",)), prediction("A", ecs=("2.1.1.1",))]
-        with pytest.raises(ValueError, match="duplicate prediction ids"):
+        with pytest.raises(ValueError, match=r"duplicate prediction ids \(e\.g\. 'A'\)"):
             evaluate_task(preds, gold, Task.EC_NUMBER, label_dict=self.make_dict())
 
 
@@ -349,6 +349,12 @@ class TestPredictionIo:
         assert preds[2].is_enzyme is None and preds[2].abstained_on_ec()
         # EC list with blank flag implies an enzyme claim.
         assert preds[3].is_enzyme is True
+
+    def test_repeated_id_names_its_line(self, tmp_path):
+        path = tmp_path / "tool.tsv"
+        path.write_text("id\tis_enzyme\tecs\nP1\t1\t1.1.1.1\n\nP2\t0\t\nP1\t0\t\n")
+        with pytest.raises(ValueError, match=f"{path}:5: duplicate id 'P1'"):  # blanks count
+            load_external_predictions(path)
 
     def test_contradictory_row_rejected(self, tmp_path):
         path = tmp_path / "tool.tsv"

@@ -8,9 +8,14 @@ A name counts as referenced when it appears in ``src/``, ``scripts/`` or
 ``perfbench/`` outside its own definition: as a name, an attribute, an
 import, or a word in a non-docstring string (perfbench names its wrap
 targets as strings).  ``__all__`` lists do not count.
+
+A second guard resolves every call target the traced benchmark wraps.
 """
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,3 +110,31 @@ def test_allowlist_names_exist():
     package = _parse(sorted(PACKAGE.glob("*.py")))
     defined = {qualname for tree in package.values() for qualname, _ in _public_defs(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, loaded from its file: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_perfbench_call_target_resolves():
+    # The traced benchmark wraps these by name and silently skips a missing
+    # one, which only shows as per-layer metrics it no longer prints.  Resolve
+    # each as tracing.install does, without wrapping anything.
+    targets = _perfbench_tracing().TARGETS
+    missing = []
+    for target in targets:
+        try:
+            owner = importlib.import_module(target.module)
+            *path, name = target.attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            _ = owner.__dict__[name] if isinstance(owner, type) else getattr(owner, name)
+        except (ImportError, AttributeError, KeyError):
+            missing.append(f"{target.module}.{target.attr}")
+    assert targets and not missing, f"perfbench targets that no longer exist: {missing}"
