@@ -18,10 +18,18 @@ path stays inside the band they agree exactly, not just on score.
 
 The banded kernel stores each row as a window of ``min(2w + 1, len(b) + 1)``
 columns that moves right by at most one column a row: the band in diagonal
-coordinates, narrowed to the real cells when ``b`` is short.  A DP row is about
-ten in-place NumPy calls into an int32 H plane and a flag plane marking cells
-whose H came from a vertical gap; E and F live one row at a time.  The best
-cell is one ``argmax``, and the traceback re-derives only the path's steps.
+coordinates, narrowed to the real cells when ``b`` is short.  The window's
+start depends only on the row and on ``(w, width)``, so pairs that share
+``(w, width)`` share every row's shifts and are stepped in lockstep, as in
+inter-sequence SIMD aligners (SWIPE, Rognes 2011): a group axis in front of
+the columns, longest ``a`` first so the pairs still inside their matrix are a
+prefix, capped at ``_GROUP_CELLS`` plane cells.  A DP row is about ten
+in-place NumPy calls for the whole group, into an int32 H plane and a flag
+plane marking cells whose H came from a vertical gap; E and F live one row at
+a time.  A group of one steps 1-D rows, so :func:`banded_local_align` costs
+what a single-pair kernel does.  Each pair's best cell is one ``argmax``, and
+its traceback re-derives only the path's steps.  :meth:`KmerIndex.align_many`
+sends every candidate pair of a batch of queries through one grouped call.
 """
 
 from __future__ import annotations
@@ -47,6 +55,12 @@ _NEG = -(1 << 40)  # forbidden-cell sentinel; far below any reachable score
 # int32 band planes: _BAND_LIMIT keeps scores far from the sentinel and overflow
 _BAND_NEG = -(1 << 29)
 _BAND_LIMIT = 1 << 28
+# Plane cells (pairs x rows x stored columns) one lockstep group may hold
+_GROUP_CELLS = 1 << 18
+# DP rows whose substitution scores one gather fetches
+_BLOCK_ROWS = 64
+# diagonal steps the traceback reads at once
+_DIAGONAL_STEPS = 128
 
 
 class AlignmentError(ValueError):
@@ -131,16 +145,51 @@ def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams
     band.  Planes are int32: a pair with ``(len(a) + len(b) + 4w + 4) *
     max(|match|, |mismatch|, gap_open) >= 2**28`` raises AlignmentError (with the
     default scores, lengths summing to under four million residues always fit).
+    This is a group of one of :func:`_align_pairs`.
     """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return _EMPTY
-    # |j - i| < max(n, m) on every cell, so a wider band adds only dead slots
-    w = min(params.band_half_width(n, m), max(n, m) - 1)
+    return _align_pairs([(a, b)], params)[0]
+
+
+def _align_pairs(pairs: Sequence[tuple[str, str]], params: AlignmentParams) -> list[AlignmentResult]:
+    """:func:`banded_local_align` of every ``(a, b)`` pair, in order.
+
+    Pairs that share ``(w, width)`` share every row's window, so they are
+    stepped in lockstep: longest ``a`` first, in groups of at most
+    ``_GROUP_CELLS`` plane cells.  Raises AlignmentError, before aligning any
+    pair, when one exceeds the int32 bound.
+    """
+    results = [_EMPTY] * len(pairs)
+    bands: dict[tuple[int, int], list[int]] = {}
+    scale = max(abs(params.match), abs(params.mismatch), params.gap_open, 1)
+    for k, (a, b) in enumerate(pairs):
+        n, m = len(a), len(b)
+        if n == 0 or m == 0:
+            continue
+        # |j - i| < max(n, m) on every cell, so a wider band adds only dead slots
+        w = min(params.band_half_width(n, m), max(n, m) - 1)
+        if (n + m + 4 * w + 4) * scale >= _BAND_LIMIT:
+            raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
+        bands.setdefault((w, min(2 * w + 1, m + 1)), []).append(k)
+    for (w, width), members in bands.items():
+        members.sort(key=lambda k: -len(pairs[k][0]))
+        start = 0
+        while start < len(members):
+            cells = (len(pairs[members[start]][0]) + 1) * (width + 2)
+            group = members[start : start + max(1, _GROUP_CELLS // cells)]
+            for k, res in zip(group, _align_group([pairs[k] for k in group], w, width, params)):
+                results[k] = res
+            start += len(group)
+    return results
+
+
+def _align_group(
+    pairs: Sequence[tuple[str, str]], w: int, width: int, params: AlignmentParams
+) -> list[AlignmentResult]:
+    """One lockstep group: non-empty pairs sharing ``(w, width)``, longest ``a`` first."""
+    lens = [len(a) for a, _ in pairs]
+    n, size = lens[0], len(pairs)
     match, mismatch = params.match, params.mismatch
     open_, ext = params.gap_open, params.gap_extend
-    if (n + m + 4 * w + 4) * max(abs(match), abs(mismatch), open_, 1) >= _BAND_LIMIT:
-        raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
 
     # Row i stores the ``width`` columns from u[i] on: its first real column,
     # pulled left so as not to pass the band's edge at i + w.  With width 2w + 1
@@ -148,52 +197,95 @@ def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams
     # holds all of b.  u steps by 0 or 1 a row, so the cells above-left and
     # above a row's first column are that step and the next in row i - 1.
     # Storage column c is column u[i] + c - 1; 0 and width + 1 are sentinels.
-    width = min(2 * w + 1, m + 1)
+    # u depends on (w, width) alone, so the whole group shares it.
     rows = np.arange(n + 1)
     u = np.minimum(np.maximum(rows - w, 0), rows + w + 1 - width).tolist()
 
-    # one score row per letter of a over columns base .. u[n] + width - 1 (row n
-    # reaches column m); the sentinel off the matrix and on column 0, which
-    # only floors to 0
+    # per pair, one score row per letter of the group's a over columns base ..
+    # u[n] + width - 1 (row n reaches column m); the sentinel off the matrix and
+    # on column 0, which only floors to 0
     base = min(u[1], 0)
-    codes = np.full(u[n] + width - base, -1, dtype=np.int16)
-    codes[-base] = -2
-    codes[1 - base : m + 1 - base] = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    letters = "".join(sorted(set(a)))
-    letter_codes = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)[:, None]
-    profile = np.where(codes == letter_codes, np.int32(match), np.int32(mismatch))
-    profile[:, codes < 0] = _BAND_NEG
+    codes = np.full((size, u[n] + width - base), -1, dtype=np.int16)
+    codes[:, -base] = -2
+    for row, (_, b) in zip(codes, pairs):
+        row[1 - base : len(b) + 1 - base] = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    letters = np.unique(np.frombuffer("".join(a for a, _ in pairs).encode("ascii"), dtype=np.uint8))
+    profile = np.where(codes[:, None] == letters[:, None], np.int32(match), np.int32(mismatch))
+    profile.transpose(0, 2, 1)[codes < 0] = _BAND_NEG
     floor = np.where(codes == -1, np.int32(_BAND_NEG), np.int32(0))
+    # row i of pair g scores against profile row g * len(letters) + (letter of a[i - 1])
+    letter_of = np.zeros(256, dtype=np.intp)
+    letter_of[letters] = np.arange(len(letters))
+    a_rows = np.zeros((n, size), dtype=np.intp)
+    for g, (a, _) in enumerate(pairs):
+        a_rows[: len(a), g] = letter_of[np.frombuffer(a.encode("ascii"), dtype=np.uint8)]
+    a_rows += np.arange(0, size * len(letters), len(letters))
+    firsts = np.array(u[1:]) - base
+    sub_win = _windows(profile.reshape(size * len(letters), -1), width)
 
-    h = np.full((n + 1, width + 2), _BAND_NEG, dtype=np.int32)
-    h[0, 1 - u[0] : min(m, w) - u[0] + 2] = 0
-    from_f = np.zeros((n + 1, width), dtype=bool)  # final H equals F
+    h = np.full((n + 1, size, width + 2), _BAND_NEG, dtype=np.int32)
+    for g, (_, b) in enumerate(pairs):
+        h[0, g, 1 - u[0] : min(len(b), w) - u[0] + 2] = 0
+    from_f = np.zeros((n + 1, size, width), dtype=bool)  # final H equals F
     ramp = np.arange(width, dtype=np.int32) * ext
-    e_offset = ramp[:-1] + open_  # open + (t - 1) * ext for t >= 1
-    scan = np.empty(width, dtype=np.int32)
-    e_row = np.empty(width - 1, dtype=np.int32)
-    h_win, sub_win, floor_win = _windows(h, width), _windows(profile, width), _windows(floor, width)
-    f_prev, f_next = _windows(np.full((2, width + 2), _BAND_NEG, dtype=np.int32), width)
-    letter_rows = [letters.index(ch) for ch in a]
-    for i, (letter, first_above, first) in enumerate(zip(letter_rows, u, u[1:]), 1):
-        d, c = first - first_above, first - base
-        h_row, f_row = h_win[i, 1], f_next[1]
-        np.add(h_win[i - 1, d], sub_win[letter, c], out=h_row)
-        np.subtract(h_win[i - 1, d + 1], open_, out=scan)
-        np.subtract(f_prev[d + 1], ext, out=f_row)
-        np.maximum(f_row, scan, out=f_row)
-        np.maximum(h_row, f_row, out=h_row)
-        np.maximum(h_row, floor_win[c], out=h_row)
-        # horizontal gaps in one scan: max over t' < t of h[t'] - open - (t-1-t')*ext
-        np.add(h_row, ramp, out=scan)
-        np.maximum.accumulate(scan, out=scan)
-        np.subtract(scan[:-1], e_offset, out=e_row)
-        np.maximum(h_row[1:], e_row, out=h_row[1:])
-        np.equal(h_row, f_row, out=from_f[i])
-        f_prev, f_next = f_next, f_prev
+    # open + (t - 1) * ext: E at t from the scan's entry t - 1; entry -1 is the sentinel
+    e_offset = ramp - ext + open_
+    scan = np.full((size, width + 1), _BAND_NEG, dtype=np.int32)
+    e_row = np.empty((size, width), dtype=np.int32)
+    # window views indexed (row, offset, pair, column): each row reads one offset
+    h_win = _windows(h, width).swapaxes(1, 2)
+    floor_win = _windows(floor, width).swapaxes(0, 1)
+    f_win = _windows(np.full((2, size, width + 2), _BAND_NEG, dtype=np.int32), width).swapaxes(1, 2)
 
+    # Rows run in segments of at most _BLOCK_ROWS over which the same pairs are
+    # still inside their matrix: a prefix, since a is longest first.  ``pick``
+    # selects them on the pair axis, or drops the axis for a group of one, so
+    # a group of one steps the 1-D rows of a single pair.
+    segments, start = [], 1
+    for live in range(size, 0, -1):
+        stop = lens[live - 1] + 1
+        segments += [(lo, min(lo + _BLOCK_ROWS, stop), live) for lo in range(start, stop, _BLOCK_ROWS)]
+        start = max(start, stop)
+    for start, stop, live in segments:
+        pick = 0 if size == 1 else slice(live)
+        hw, flags, fw = h_win[:, :, pick], from_f[:, pick], floor_win[:, pick]
+        f_prev, f_next = f_win[(start - 1) % 2][:, pick], f_win[start % 2][:, pick]
+        sc, er = scan[pick], e_row[pick]
+        sc_in, sc_out = sc[..., 1:], sc[..., :-1]
+        subs = sub_win[a_rows[start - 1 : stop - 1, :live], firsts[start - 1 : stop - 1, None]]
+        for i, first_above, first, sub in zip(
+            range(start, stop), u[start - 1 : stop - 1], u[start:stop], subs[:, pick]
+        ):
+            d, c = first - first_above, first - base
+            h_row, f_row = hw[i, 1], f_next[1]
+            np.add(hw[i - 1, d], sub, out=h_row)
+            np.subtract(hw[i - 1, d + 1], open_, out=sc_in)
+            np.subtract(f_prev[d + 1], ext, out=f_row)
+            np.maximum(f_row, sc_in, out=f_row)
+            np.maximum(h_row, f_row, out=h_row)
+            np.maximum(h_row, fw[c], out=h_row)
+            # horizontal gaps in one scan: max over t' < t of h[t'] - open - (t-1-t')*ext
+            np.add(h_row, ramp, out=sc_in)
+            np.maximum.accumulate(sc_in, axis=-1, out=sc_in)
+            np.subtract(sc_out, e_offset, out=er)
+            np.maximum(h_row, er, out=h_row)
+            np.equal(h_row, f_row, out=flags[i])
+            f_prev, f_next = f_next, f_prev
+    starts = np.array(u)
+    return [_traceback(a, b, h[:, g], from_f[:, g], u, starts, params)
+            for g, (a, b) in enumerate(pairs)]
+
+
+def _traceback(a: str, b: str, h: np.ndarray, from_f: np.ndarray, u: list[int],
+               starts: np.ndarray, params: AlignmentParams) -> AlignmentResult:
+    """Score and tallies of one pair's best path, from its H and flag planes.
+
+    ``u`` is each row's first stored column, as a list and as the array ``starts``.
+    """
     # Columns past m can carry a gap out of a real cell but never beat the
-    # real cell it came from, which is earlier in row-major order.
+    # real cell it came from, which is earlier in row-major order.  Rows past
+    # len(a) were never written and keep the sentinel.
+    width = h.shape[1] - 2
     i, col = divmod(int(np.argmax(h)), width + 2)
     best_score = int(h[i, col])
     if best_score <= 0:
@@ -202,22 +294,31 @@ def banded_local_align(a: str, b: str, params: AlignmentParams = AlignmentParams
     # re-derive each step on the path: stop > diagonal > vertical > horizontal.
     # A gap carries its own value: F(i, j) is H(i-1, j) - open where it opens,
     # else F(i-1, j) - ext, and E(i, j) likewise along the row.
+    match, mismatch = params.match, params.mismatch
+    open_, ext = params.gap_open, params.gap_extend
     matches = columns = 0
     j = u[i] + col - 1
     state, gap = "H", 0
     while i > 0 and j > 0:
         if state == "H":
-            here = int(h[i, j - u[i] + 1])
-            if here == 0:
-                break
-            same = a[i - 1] == b[j - 1]
-            if here == int(h[i - 1, j - u[i - 1]]) + (match if same else mismatch):
+            # H(i - k, j - k) up the diagonal in one read; a cell left of its
+            # row's window reads the sentinel column, as the DP did
+            steps = np.arange(min(i, j, _DIAGONAL_STEPS) + 1)
+            rows = i - steps
+            diagonal = h[rows, np.maximum(j - steps - starts[rows] + 1, 0)].tolist()
+            k = 0
+            while k < len(diagonal) - 1:
+                here = diagonal[k]
+                if here == 0:
+                    return AlignmentResult(score=best_score, matches=matches, columns=columns)
+                same = a[i - k - 1] == b[j - k - 1]
+                if here != diagonal[k + 1] + (match if same else mismatch):
+                    state, gap = ("F" if from_f[i - k, j - k - u[i - k]] else "E"), here
+                    break
                 columns += 1
                 matches += same
-                i -= 1
-                j -= 1
-            else:
-                state, gap = ("F" if from_f[i, j - u[i]] else "E"), here
+                k += 1
+            i, j = i - k, j - k
         else:
             columns += 1
             i, j = (i - 1, j) if state == "F" else (i, j - 1)
@@ -361,13 +462,19 @@ class KmerIndex:
         return ranked[: self.params.max_candidates]
 
     def align_all(self, query: str) -> list[Hit]:
-        """Banded alignment against every candidate, best-first."""
-        hits = []
-        for idx in self.candidates(query):
-            res = banded_local_align(query, self._seqs[idx], self.params)
-            if res.columns == 0:
-                continue
-            hits.append(
+        """Banded alignment against every candidate, best-first: a batch of one."""
+        return self.align_many([query])[0]
+
+    def align_many(self, queries: Sequence[str]) -> list[list[Hit]]:
+        """Each query's hits, best-first, with every candidate pair aligned in one call."""
+        found = [self.candidates(query) for query in queries]
+        results = iter(_align_pairs(
+            [(query, self._seqs[idx]) for query, cands in zip(queries, found) for idx in cands],
+            self.params,
+        ))
+        ranked = []
+        for cands in found:
+            hits = [
                 Hit(
                     id=self._ids[idx],
                     identity=res.identity,
@@ -376,6 +483,9 @@ class KmerIndex:
                     matches=res.matches,
                     labels=self._labels[idx],
                 )
-            )
-        hits.sort(key=_hit_rank_key)
-        return hits
+                for idx, res in zip(cands, results)
+                if res.columns
+            ]
+            hits.sort(key=_hit_rank_key)
+            ranked.append(hits)
+        return ranked

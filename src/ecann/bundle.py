@@ -23,7 +23,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -184,11 +184,6 @@ class Annotator:
             ranked_ecs=ranked,
         )
 
-    def best_hit(self, seq: str) -> Optional[Hit]:
-        """Top-ranked raw hit; the policy's identity gate is applied later."""
-        hits = self._stack.aligner.align_all(seq)
-        return hits[0] if hits else None
-
     def tuning_inputs(
         self, records: Sequence[ProteinRecord], vectors: Optional[EmbeddingTable]
     ) -> tuple[dict[str, AgentOutputs], dict[str, Optional[Hit]]]:
@@ -197,13 +192,18 @@ class Annotator:
         Vectors come from ``vectors`` by id, or from embedding the sequence
         when ``vectors`` is None.
         """
-        outputs_by_id, hits_by_id = {}, {}
-        for rec in records:
-            if vectors is not None and rec.id not in vectors:
-                raise BundleError(f"record {rec.id!r} has no vector in the supplied table")
-            vec = self.embed(rec.seq) if vectors is None else vectors.get(rec.id)
-            outputs_by_id[rec.id] = self.agent_outputs(vec)
-            hits_by_id[rec.id] = self.best_hit(rec.seq)
+        if vectors is not None:
+            for rec in records:
+                if rec.id not in vectors:
+                    raise BundleError(f"record {rec.id!r} has no vector in the supplied table")
+        rows = _first_error(self._batch(
+            [(rec.id, rec.seq) for rec in records],
+            [None if vectors is None else vectors.get(rec.id) for rec in records],
+            align=True,
+            finish=lambda query_id, vec, hit: (self.agent_outputs(vec), hit),
+        ))
+        outputs_by_id = {rec.id: outputs for rec, (outputs, _) in zip(records, rows)}
+        hits_by_id = {rec.id: hit for rec, (_, hit) in zip(records, rows)}
         return outputs_by_id, hits_by_id
 
     def annotate_one(
@@ -213,22 +213,7 @@ class Annotator:
         mode: RankingMode = RankingMode.PREDICTION,
         vector: Optional[np.ndarray] = None,
     ) -> Prediction:
-        if not query_id:
-            raise BundleError("query id must be non-empty")
-        if not seq:
-            raise BundleError(f"query {query_id!r}: sequence must be non-empty")
-        vec = self.embed(seq) if vector is None else np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.table.dim,):
-            raise BundleError(
-                f"query {query_id!r}: vector shape {vec.shape} != ({self.table.dim},)"
-            )
-        if vector is not None and not np.isfinite(vec).all():
-            raise BundleError(f"query {query_id!r}: supplied vector has non-finite values")
-        # the checks above stay eager: a bad query fails whichever route answers
-        hit = self.best_hit(seq) if self.policy.consults_alignment else None
-        agents_answer = self.policy.route_for(hit) is PredictionSource.AGENTS
-        outputs = self.agent_outputs(vec) if agents_answer else None
-        return integrate(query_id, outputs, hit, self.policy, mode)
+        return _first_error(self._predict([(query_id, seq)], mode, [vector]))[0]
 
     def annotate(
         self,
@@ -241,10 +226,91 @@ class Annotator:
             if query_id in seen:
                 raise BundleError(f"duplicate query id {query_id!r}")
             seen.add(query_id)
-        return [
-            self.annotate_one(query_id, seq, mode, vector=_supplied_vector(vectors, query_id))
-            for query_id, seq in queries
-        ]
+        supplied = [_supplied_vector(vectors, query_id) for query_id, _ in queries]
+        return _first_error(self._predict(queries, mode, supplied))
+
+    def _predict(
+        self,
+        queries: Sequence[tuple[str, str]],
+        mode: RankingMode,
+        vectors: Sequence[Optional[np.ndarray]],
+    ) -> list[Prediction | Exception]:
+        """Each query's prediction, computing only the route that answers it."""
+
+        def answer(query_id: str, vec: np.ndarray, hit: Optional[Hit]) -> Prediction:
+            agents_answer = self.policy.route_for(hit) is PredictionSource.AGENTS
+            outputs = self.agent_outputs(vec) if agents_answer else None
+            return integrate(query_id, outputs, hit, self.policy, mode)
+
+        return self._batch(queries, vectors, self.policy.consults_alignment, answer)
+
+    def _batch(
+        self,
+        queries: Sequence[tuple[str, str]],
+        vectors: Sequence[Optional[np.ndarray]],
+        align: bool,
+        finish: Callable[[str, np.ndarray, Optional[Hit]], Any],
+    ) -> list:
+        """``finish(query_id, vector, best hit)`` of each query, or the exception that failed it.
+
+        A batch runs in three steps.  Every row is checked up front: its id, its
+        sequence, and a supplied vector's shape and finiteness.  Then the rows
+        that pass are aligned in one call when ``align`` is set.  Last, each row
+        is embedded, if no vector was supplied, and finished on its own, so a
+        batch holds one embedding at a time.  A failing row fails alone.
+        """
+        checked = [_attempt(self._checked_vector, query_id, seq, vector)
+                   for (query_id, seq), vector in zip(queries, vectors)]
+        passed = [seq for (_, seq), vec in zip(queries, checked)
+                  if not isinstance(vec, Exception)]
+        hits = iter(self._best_hits(passed) if align else [None] * len(passed))
+
+        def run(query_id: str, seq: str, vec: Optional[np.ndarray], hit):
+            # the checks stay eager: a bad query fails whichever route answers
+            if vec is None:
+                vec = self.embed(seq)
+                self._check_shape(query_id, vec)
+            if isinstance(hit, Exception):
+                raise hit
+            return finish(query_id, vec, hit)
+
+        return [vec if isinstance(vec, Exception) else _attempt(run, query_id, seq, vec, next(hits))
+                for (query_id, seq), vec in zip(queries, checked)]
+
+    def _checked_vector(
+        self, query_id: str, seq: str, vector: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """The supplied vector as float64 after the up-front checks; None to embed."""
+        if not query_id:
+            raise BundleError("query id must be non-empty")
+        if not seq:
+            raise BundleError(f"query {query_id!r}: sequence must be non-empty")
+        if vector is None:
+            return None
+        vec = np.asarray(vector, dtype=np.float64)
+        self._check_shape(query_id, vec)
+        if not np.isfinite(vec).all():
+            raise BundleError(f"query {query_id!r}: supplied vector has non-finite values")
+        return vec
+
+    def _check_shape(self, query_id: str, vec: np.ndarray) -> None:
+        if vec.shape != (self.table.dim,):
+            raise BundleError(
+                f"query {query_id!r}: vector shape {vec.shape} != ({self.table.dim},)"
+            )
+
+    def _best_hits(self, seqs: Sequence[str]) -> list:
+        """Each sequence's top raw hit, or the exception that failed its alignment.
+
+        The policy's identity gate is applied later.
+        """
+        aligner = self._stack.aligner
+        try:
+            found = aligner.align_many(seqs)
+        except Exception:  # noqa: BLE001 - align one by one to fail only the bad rows
+            found = [_attempt(aligner.align_all, seq) for seq in seqs]
+        return [hits if isinstance(hits, Exception) else (hits[0] if hits else None)
+                for hits in found]
 
     # ----- persistence ----------------------------------------------------
 
@@ -342,17 +408,31 @@ def annotate_to_tsv(
 
     lines = ["\t".join(PREDICTION_COLUMNS)]
     n_failed = 0
-    for query_id, seq in pairs:
-        try:
-            pred = annotator.annotate_one(
-                query_id, seq, mode, vector=_supplied_vector(vectors, query_id)
-            )
-            lines.append(prediction_row(pred))
-        except Exception as exc:  # noqa: BLE001 - row isolation is the contract
+    supplied = [_supplied_vector(vectors, query_id) for query_id, _ in pairs]
+    for (query_id, _), pred in zip(pairs, annotator._predict(pairs, mode, supplied)):
+        if isinstance(pred, Exception):  # row isolation is the contract
             n_failed += 1
-            log.warning("query %r failed: %s", query_id, exc)
-            lines.append("\t".join([query_id, "", "", "", "", f"error: {exc}"]))
+            log.warning("query %r failed: %s", query_id, pred)
+            lines.append("\t".join([query_id, "", "", "", "", f"error: {pred}"]))
+        else:
+            lines.append(prediction_row(pred))
     return "\n".join(lines) + "\n", n_failed
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the caller decides per row
+        return exc
+
+
+def _first_error(rows: list) -> list:
+    """``rows``, unless one is an exception: then the first of them is raised."""
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
 
 
 def train_bundle(

@@ -3,12 +3,13 @@
 The confusion vocabulary has six cells.  Besides the usual four, UP and
 UN count gold-positive and gold-negative queries on which a tool made
 no call at all; abstentions lower accuracy and recall but never count
-against precision.  ``_confusion`` is the only code that applies this
-rule: each task hands it one (claim, truth) pair per record, or per
-record and class.  Metrics with a zero denominator are reported as an
-explicit undefined marker (``None``), never silently as zero; macro
-averages treat undefined per-class values as zero contributions while
-keeping the class in the denominator.
+against precision.  ``_confusion`` applies this rule to one (claim,
+truth) pair per record; ``_one_vs_rest`` applies it to every class of
+a task in one pass over the records' claimed and gold sets.  Metrics
+with a zero denominator are reported as an explicit undefined marker
+(``None``), never silently as zero; macro averages treat undefined
+per-class values as zero contributions while keeping the class in the
+denominator.
 
 Two macro-F1 flavours are reported side by side because they genuinely
 differ: ``m_f1_perclass`` averages per-class F1 scores, while
@@ -275,14 +276,29 @@ def _gold_ecs(rec: ProteinRecord) -> frozenset[str]:
 def _one_vs_rest(
     claims: Sequence[tuple[Optional[AbstractSet], AbstractSet]], classes: Iterable
 ) -> dict[str, ConfusionCounts]:
-    """Per-class counts from (claimed set or None, gold set) per record."""
-    return {
-        str(cls): _confusion(
-            (None if claimed is None else cls in claimed, cls in truth)
-            for claimed, truth in claims
-        )
-        for cls in sorted(classes)
-    }
+    """Per-class counts from (claimed set or None, gold set) per record, in one pass.
+
+    A class's tp, fp, fn and up come from the records whose sets hold it;
+    its tn and un are the remaining records that made a claim, or abstained.
+    """
+    order = sorted(classes)
+    cells = {cls: dict.fromkeys(CELLS, 0) for cls in order}
+    made = abstained = 0
+    for claimed, truth in claims:
+        if claimed is None:
+            abstained += 1
+            for cls in truth & cells.keys():
+                cells[cls]["up"] += 1
+            continue
+        made += 1
+        for cls in claimed & cells.keys():
+            cells[cls]["tp" if cls in truth else "fp"] += 1
+        for cls in (truth - claimed) & cells.keys():
+            cells[cls]["fn"] += 1
+    for tally in cells.values():
+        tally["tn"] = made - tally["tp"] - tally["fp"] - tally["fn"]
+        tally["un"] = abstained - tally["up"]
+    return {str(cls): ConfusionCounts(**cells[cls]) for cls in order}
 
 
 def evaluate_enzyme_task(

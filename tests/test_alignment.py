@@ -14,6 +14,8 @@ from ecann.alignment import (
     AlignmentParams,
     AlignmentResult,
     KmerIndex,
+    _align_group,
+    _align_pairs,
     banded_local_align,
     full_local_align,
 )
@@ -349,6 +351,71 @@ def test_diagonal_kernel_matches_the_row_oracle(case):
     assert _tally(banded_local_align(a, b, params)) == _tally(row_band_oracle(a, b, params))
 
 
+def _band_key(a, b, params):
+    n, m = len(a), len(b)
+    w = min(params.band_half_width(n, m), max(n, m) - 1)
+    return w, min(2 * w + 1, m + 1)
+
+
+@st.composite
+def _group_cases(draw):
+    """Pairs that share (w, width), with a of several lengths, plus empty pairs."""
+    alphabet = draw(st.sampled_from(["AC", "ACDW", ALPHA]))
+    gap_open = draw(st.integers(0, 12))
+    params = AlignmentParams(
+        match=draw(st.sampled_from([1, 2, 3])),
+        mismatch=draw(st.sampled_from([-1, -3, 0])),
+        gap_open=gap_open,
+        gap_extend=draw(st.integers(0, gap_open)),
+        band_pad=draw(st.integers(0, 8)),
+    )
+    diff = draw(st.integers(0, 4))
+    w = 2 * diff + params.band_pad
+    seq = lambda size: draw(st.text(alphabet=alphabet, min_size=size, max_size=size))  # noqa: E731
+    pairs = []
+    if draw(st.booleans()):
+        # b at least as long as the band: width 2w + 1, any len(b) >= 2w
+        for _ in range(draw(st.integers(1, 6))):
+            m = draw(st.integers(max(2 * w, diff + w + 1, 1), 2 * w + 40))
+            n = m + draw(st.sampled_from([diff, -diff]))
+            pairs.append((seq(n), seq(m)))
+    else:
+        # b shorter than the band: width len(b) + 1, a on either side of b
+        m = draw(st.integers(w + 1, max(w + 1, 2 * w - 1)))
+        for _ in range(draw(st.integers(1, 6))):
+            pairs.append((seq(m + draw(st.sampled_from([diff, -diff]))), seq(m)))
+    for _ in range(draw(st.integers(0, 2))):
+        empty = ("", seq(draw(st.integers(0, 5))))
+        pairs.insert(draw(st.integers(0, len(pairs))), empty if draw(st.booleans()) else empty[::-1])
+    return pairs, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_group_cases())
+def test_lockstep_groups_match_the_oracles(case):
+    pairs, params = case
+    aligned = [(a, b) for a, b in pairs if a and b]
+    assert len({_band_key(a, b, params) for a, b in aligned}) == 1
+    w, width = _band_key(*aligned[0], params)
+    group = sorted(aligned, key=lambda pair: -len(pair[0]))
+    by_pair = dict(zip(group, map(_tally, _align_group(group, w, width, params))))
+    results = _align_pairs(pairs, params)
+    assert len(results) == len(pairs)
+    for (a, b), res in zip(pairs, results):
+        want = _tally(row_band_oracle(a, b, params))
+        assert _tally(res) == want
+        if a and b:
+            assert by_pair[(a, b)] == want
+        if params.band_half_width(len(a), len(b)) >= max(len(a), len(b)) - 1:
+            assert want == _tally(full_local_align(a, b, params))
+
+
+def test_a_pair_past_the_int32_bound_fails_its_batch():
+    wide = AlignmentParams(match=1 << 20, mismatch=-(1 << 20), gap_open=1 << 20, gap_extend=1)
+    with pytest.raises(AlignmentError, match="int32"):
+        _align_pairs([("ACDW", "ACDW"), (ALPHA * 5, ALPHA * 5)], wide)
+
+
 def _peak_bytes(align, a, b):
     align(a, b)  # first-call imports stay out of the traced call
     tracemalloc.start()
@@ -480,3 +547,13 @@ class TestKmerIndex:
         index = KmerIndex.build(recs)
         hit = index.align_all(ALPHA * 3)[0]
         assert hit.labels == parse_ec_list("2.7.11.1;3.1.3.16")
+
+    def test_batch_equals_one_query_calls(self):
+        rng = random.Random(9)
+        refs = ["".join(rng.choice(ALPHA) for _ in range(rng.randint(60, 180))) for _ in range(12)]
+        index = KmerIndex.build([_rec(f"P{i}", seq, "1.1.1.1") for i, seq in enumerate(refs)])
+        queries = [_mutant(rng, seq) for seq in refs for _ in range(2)]
+        queries += [refs[3], refs[3][:40] + refs[7][40:], "ACD", "", "W" * 90]
+        rng.shuffle(queries)
+        assert index.align_many(queries) == [index.align_all(query) for query in queries]
+        assert index.align_many([]) == []

@@ -1,6 +1,8 @@
 """Bundle round-trip, integrity, and self-annotation tests."""
 
+import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ecann.agents import (
     FunctionCountModel,
     RankingMode,
 )
-from ecann.alignment import KmerIndex
+from ecann.alignment import AlignmentParams, KmerIndex
 from ecann.ann import AnnParams
 from ecann.bundle import (
     ARTIFACT_FILES,
@@ -43,6 +45,12 @@ TEST_PARAMS = BundleParams(
         negative_budget=60, shortlist_size=60, svm_max_iter=300,
     ),
 )
+
+
+def _best_hit(annotator, seq):
+    """The top raw hit of the bundle's aligner, before the policy's identity gate."""
+    hits = annotator._stack.aligner.align_all(seq)
+    return hits[0] if hits else None
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +128,7 @@ class TestSelfAnnotation:
     def test_non_finite_vector_fails_on_either_route(self, annotator, corpus, bad):
         vector = np.full(annotator.table.dim, bad)
         aligned, novel = corpus[0].seq, "MKV"  # novel: shorter than k, so no hit
-        assert annotator.best_hit(aligned) is not None and annotator.best_hit(novel) is None
+        assert _best_hit(annotator, aligned) is not None and _best_hit(annotator, novel) is None
         for seq in (aligned, novel):
             with pytest.raises(BundleError, match="'q': supplied vector has non-finite"):
                 annotator.annotate_one("q", seq, vector=vector)
@@ -151,7 +159,7 @@ class TestRouteLazyAnnotation:
 
     def _eager(self, annotator, query_id, seq, mode=RankingMode.PREDICTION):
         outputs = annotator.agent_outputs(annotator.embed(seq))
-        return integrate(query_id, outputs, annotator.best_hit(seq), annotator.policy, mode)
+        return integrate(query_id, outputs, _best_hit(annotator, seq), annotator.policy, mode)
 
     def test_alignment_hit_skips_the_agents(self, annotator, corpus, monkeypatch):
         seq = corpus[0].seq
@@ -170,6 +178,7 @@ class TestRouteLazyAnnotation:
             eager = self._eager(agents_first, "q", seq, mode)
             with monkeypatch.context() as patch:
                 patch.setattr(KmerIndex, "align_all", _refuse)
+                patch.setattr(KmerIndex, "align_many", _refuse)
                 assert agents_first.annotate_one("q", seq, mode) == eager
 
     def test_alignment_only_miss_abstains_without_the_agents(self, annotator, monkeypatch):
@@ -188,7 +197,7 @@ class TestRouteLazyAnnotation:
         )
         built, _ = train_bundle(corpus, TEST_PARAMS, table=table)
         rec = corpus[0]
-        assert built.best_hit(rec.seq).identity == 1.0
+        assert _best_hit(built, rec.seq).identity == 1.0
         no_vectors = EmbeddingTable(tag="external-test", dim=8, vectors={})
         tsv, failed = annotate_to_tsv(built, [("q", rec.seq)], vectors=no_vectors)
         assert failed == 1
@@ -204,6 +213,76 @@ class TestRouteLazyAnnotation:
             assert set(outputs) == set(hits) == {rec.id for rec in corpus}
             assert all(hit is not None and hit.identity == 1.0 for hit in hits.values())
             assert all(out is not None for out in outputs.values())
+
+
+def _tsv_rows(tsv):
+    return tsv.splitlines()[1:]
+
+
+class TestBatchAnnotation:
+    """A batch shares one alignment call; each row still answers alone."""
+
+    def _queries(self, corpus):
+        rng = np.random.default_rng(5)
+        novel = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=90))
+        return [(f"q-{rec.id}", rec.seq) for rec in corpus[:8]] + [("novel", novel)]
+
+    def test_bad_rows_fail_alone_and_the_rest_match_one_query_calls(self, annotator, corpus):
+        queries = self._queries(corpus)
+        matrix = np.zeros((1, annotator.table.dim))
+        table = EmbeddingTable.from_rows(annotator.table.tag, ("nan",), matrix)
+        matrix[0, 3] = np.nan  # the table adopted the matrix, so this reaches its row
+        batch = queries[:3] + [("empty", ""), ("nan", corpus[0].seq)] + queries[3:5] + [
+            ("odd", "ACDE#FGH")] + queries[5:]
+        tsv, failed = annotate_to_tsv(annotator, batch, vectors=table)
+        rows = dict(zip([query_id for query_id, _ in batch], _tsv_rows(tsv)))
+        assert failed == 3
+        assert rows.pop("empty") == "empty\t\t\t\t\terror: query 'empty': sequence must be non-empty"
+        assert rows.pop("nan") == "nan\t\t\t\t\terror: query 'nan': supplied vector has non-finite values"
+        assert rows.pop("odd") == "odd\t\t\t\t\terror: character '#' outside the sequence alphabet"
+        for query_id, seq in queries:
+            one, n_failed = annotate_to_tsv(annotator, [(query_id, seq)])
+            assert n_failed == 0 and _tsv_rows(one) == [rows.pop(query_id)]
+        assert not rows
+
+    def test_a_wrongly_shaped_vector_fails_only_its_row(self, annotator, corpus):
+        queries = self._queries(corpus)
+        vectors = [None] * len(queries)
+        vectors[4] = np.zeros(7)
+        preds = annotator._predict(queries, RankingMode.PREDICTION, vectors)
+        assert isinstance(preds[4], BundleError) and "shape (7,)" in str(preds[4])
+        for k, (query_id, seq) in enumerate(queries):
+            if k != 4:
+                assert preds[k] == annotator.annotate_one(query_id, seq)
+
+    def test_annotate_raises_on_the_first_bad_row(self, annotator, corpus):
+        seq = corpus[0].seq
+        with pytest.raises(BundleError, match="^query id must be non-empty$"):
+            annotator.annotate([("a", seq), ("", seq), ("b", "")])
+        with pytest.raises(BundleError, match="^query 'b': sequence must be non-empty$"):
+            annotator.annotate([("a", seq), ("b", ""), ("", seq)])
+
+    def test_an_alignment_failure_fails_only_its_row(self, annotator, corpus):
+        # at these scores a pair's cells must stay under 4,096 to fit int32
+        coarse = AlignmentParams(match=1 << 16, mismatch=-(1 << 16), gap_open=1 << 16,
+                                 gap_extend=1)
+        stack = dataclasses.replace(annotator._stack, aligner=KmerIndex.build(corpus, coarse))
+        built = Annotator(annotator.records, annotator.table, stack, annotator.policy,
+                          annotator.params)
+        queries = self._queries(corpus)
+        long_query = ("long", corpus[1].seq * 12)
+        tsv, failed = annotate_to_tsv(built, queries[:2] + [long_query] + queries[2:])
+        rows = _tsv_rows(tsv)
+        assert failed == 1
+        assert "exceeds the int32 band limit" in rows.pop(2)
+        assert rows == _tsv_rows(annotate_to_tsv(built, queries)[0])
+
+    def test_threads_sharing_one_annotator_agree(self, annotator, corpus):
+        queries = [(f"q{k}-{rec.id}", rec.seq) for k in range(2) for rec in corpus]
+        want = annotate_to_tsv(annotator, queries)
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda _: annotate_to_tsv(annotator, queries), range(6)))
+        assert all(tsv == want for tsv in got)
 
 
 class TestPersistence:
