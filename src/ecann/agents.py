@@ -443,8 +443,7 @@ class EcRanker:
         save_classifiers(directory / "ranker_classifiers.bin", self.classifiers)
         meta = {
             "format": "ec-ranker",
-            "version": 2,
-            "label_of_point": self.label_of_point,
+            "version": 3,
             "negatives_used": {str(k): v for k, v in self.negatives_used.items()},
         }
         (directory / "ranker_meta.json").write_text(
@@ -454,21 +453,27 @@ class EcRanker:
     @classmethod
     def load(cls, directory: str | Path, table: EmbeddingTable,
              label_dict: LabelDictionary, params: EcRankerParams) -> "EcRanker":
-        """Read a saved ranker whose index addresses rows of ``table``."""
+        """Read a saved ranker whose index addresses rows of ``table``; each
+        point's label is the EC after the last ``|`` of its id ``record|EC``."""
         directory = Path(directory)
         meta = json.loads((directory / "ranker_meta.json").read_text(encoding="ascii"))
         if not isinstance(meta, dict):
             raise AgentError("EC-ranker payload must be a JSON object")
-        if meta.get("format") != "ec-ranker" or meta.get("version") != 2:
+        if meta.get("format") != "ec-ranker" or meta.get("version") != 3:
             raise AgentError("unrecognized EC-ranker payload")
         try:
-            label_of_point = {str(k): int(v) for k, v in meta["label_of_point"].items()}
             negatives_used = {int(k): int(v) for k, v in meta["negatives_used"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise AgentError(f"{directory}: bad EC-ranker payload: {exc}") from exc
         index = AnnIndex.load(directory / "ranker_index.bin", table)
-        if label_of_point.keys() != set(index.ids) or not all(
-                0 <= label < len(label_dict) for label in label_of_point.values()):
-            raise AgentError(f"{directory}: ranker points disagree with the index or labels")
+        label_of_ec = {format_ec(ec): label for label, ec in enumerate(label_dict.ecs())}
+        label_of_point: dict[str, int] = {}
+        for pid in index.ids:
+            try:
+                label_of_point[pid] = label_of_ec[pid.rpartition("|")[2]]
+            except (AttributeError, KeyError):
+                raise AgentError(
+                    f"{directory}: ranker point {pid!r} disagrees with the label "
+                    "dictionary: its EC is not in it") from None
         classifiers = load_classifiers(directory / "ranker_classifiers.bin")
         return cls(label_dict, classifiers, index, label_of_point, params, negatives_used)

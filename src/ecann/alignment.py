@@ -160,15 +160,11 @@ def _align_pairs(pairs: Sequence[tuple[str, str]], params: AlignmentParams) -> l
     """
     results = [_EMPTY] * len(pairs)
     bands: dict[tuple[int, int], list[int]] = {}
-    scale = max(abs(params.match), abs(params.mismatch), params.gap_open, 1)
     for k, (a, b) in enumerate(pairs):
         n, m = len(a), len(b)
         if n == 0 or m == 0:
             continue
-        # |j - i| < max(n, m) on every cell, so a wider band adds only dead slots
-        w = min(params.band_half_width(n, m), max(n, m) - 1)
-        if (n + m + 4 * w + 4) * scale >= _BAND_LIMIT:
-            raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
+        w = _band_half_width(n, m, params)
         bands.setdefault((w, min(2 * w + 1, m + 1)), []).append(k)
     for (w, width), members in bands.items():
         members.sort(key=lambda k: -len(pairs[k][0]))
@@ -180,6 +176,17 @@ def _align_pairs(pairs: Sequence[tuple[str, str]], params: AlignmentParams) -> l
                 results[k] = res
             start += len(group)
     return results
+
+
+def _band_half_width(n: int, m: int, params: AlignmentParams) -> int:
+    """The band half-width of a non-empty ``n`` x ``m`` pair; AlignmentError
+    when its planes would pass the int32 bound."""
+    # |j - i| < max(n, m) on every cell, so a wider band adds only dead slots
+    w = min(params.band_half_width(n, m), max(n, m) - 1)
+    scale = max(abs(params.match), abs(params.mismatch), params.gap_open, 1)
+    if (n + m + 4 * w + 4) * scale >= _BAND_LIMIT:
+        raise AlignmentError(f"pair of lengths {n} and {m} exceeds the int32 band limit")
+    return w
 
 
 def _align_group(
@@ -461,19 +468,44 @@ class KmerIndex:
         ranked = sorted(counts, key=lambda idx: (-counts[idx], idx))
         return ranked[: self.params.max_candidates]
 
+    def _checked_candidates(self, query: str) -> list[int] | Exception:
+        """The query's candidates, or the error that its first failing pair raises
+        in :func:`_align_pairs`; references are records, so always ASCII."""
+        cands = self.candidates(query)
+        try:
+            for idx in cands:
+                _band_half_width(len(query), len(self._seqs[idx]), self.params)
+            if cands:
+                query.encode("ascii")
+        except (AlignmentError, UnicodeEncodeError) as exc:
+            return exc
+        return cands
+
     def align_all(self, query: str) -> list[Hit]:
         """Banded alignment against every candidate, best-first: a batch of one."""
-        return self.align_many([query])[0]
+        hits = self.align_many([query])[0]
+        if isinstance(hits, Exception):
+            raise hits
+        return hits
 
-    def align_many(self, queries: Sequence[str]) -> list[list[Hit]]:
-        """Each query's hits, best-first, with every candidate pair aligned in one call."""
-        found = [self.candidates(query) for query in queries]
+    def align_many(self, queries: Sequence[str]) -> list[list[Hit] | Exception]:
+        """Each query's hits, best-first, or the error that fails one of its pairs.
+
+        A pair fails when it passes the int32 bound (AlignmentError) or its
+        query is not ASCII (UnicodeEncodeError).  Both are checked up front,
+        so the pairs of every other query are aligned together in one call.
+        """
+        found = [self._checked_candidates(query) for query in queries]
         results = iter(_align_pairs(
-            [(query, self._seqs[idx]) for query, cands in zip(queries, found) for idx in cands],
+            [(query, self._seqs[idx]) for query, cands in zip(queries, found)
+             if not isinstance(cands, Exception) for idx in cands],
             self.params,
         ))
-        ranked = []
+        ranked: list[list[Hit] | Exception] = []
         for cands in found:
+            if isinstance(cands, Exception):
+                ranked.append(cands)
+                continue
             hits = [
                 Hit(
                     id=self._ids[idx],

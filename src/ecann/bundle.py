@@ -4,11 +4,12 @@ A bundle is a self-contained directory.  ``manifest.json`` carries the
 format tag, the embedding recipe, the integration policy, all training
 parameters, and a sha256 digest per artifact file; the artifacts are the
 training records (flat file), the embedding table, the count model, the
-EC ranker, and the label dictionary.  Each fact is stored once: the
-ranker's index holds rows of the embedding table, not vectors, and the
-ranker takes its labels and parameters from ``labels.tsv`` and the
-manifest.  No file encodes wall-clock time, so rebuilding from the same
-inputs reproduces every byte.
+EC ranker, and the label dictionary.  Each fact is stored once: a one-hot
+embedding table holds one uint8 residue code per position, not its
+float64 rows; the ranker's index holds rows of the embedding table, not
+vectors; and the ranker takes its parameters from the manifest and each
+point's label from the EC in its id and ``labels.tsv``.  No file encodes
+wall-clock time, so rebuilding from the same inputs reproduces every byte.
 
 The enzyme gate and the k-mer alignment index hold no fitted state
 beyond the stored records and vectors, so they are rebuilt on load
@@ -61,7 +62,7 @@ from .integrate import (
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "ec-annotation-bundle"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.tsv"
@@ -304,13 +305,8 @@ class Annotator:
 
         The policy's identity gate is applied later.
         """
-        aligner = self._stack.aligner
-        try:
-            found = aligner.align_many(seqs)
-        except Exception:  # noqa: BLE001 - align one by one to fail only the bad rows
-            found = [_attempt(aligner.align_all, seq) for seq in seqs]
         return [hits if isinstance(hits, Exception) else (hits[0] if hits else None)
-                for hits in found]
+                for hits in self._stack.aligner.align_many(seqs)]
 
     # ----- persistence ----------------------------------------------------
 

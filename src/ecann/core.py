@@ -321,15 +321,16 @@ def build_label_dictionary(records: Iterable[ProteinRecord]) -> LabelDictionary:
 # header length, a canonical JSON header {"kind", "meta", "arrays": [{"name",
 # "dtype", "shape"}, ...]} padded with spaces to a multiple of 8 bytes, then
 # each array's little-endian bytes starting at an 8-byte-aligned offset, and
-# nothing after the last array.
+# nothing after the last array.  Arrays are float64, int32, uint32 or uint8
+# (``|u1``, which one-hot embedding tables store their residue codes in).
 
 CONTAINER_MAGIC = b"ECANNC1\n"
 _PREFIX = struct.Struct("<8sQ")
-_DTYPES = ("<f8", "<i4", "<u4")
+_DTYPES = ("<f8", "<i4", "<u4", "|u1")
 
 
 def write_container(path: str | Path, kind: str, meta: dict, arrays: dict) -> None:
-    """Write ``meta`` (JSON-able) and named float64/int32/uint32 arrays to ``path``."""
+    """Write ``meta`` (JSON-able) and named float64/int32/uint32/uint8 arrays to ``path``."""
     arrays = {name: np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
               for name, arr in arrays.items()}
     specs = [{"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}

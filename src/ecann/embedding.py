@@ -4,6 +4,9 @@ A table is one read-only ``(n, dim)`` float64 matrix plus an id -> row
 map.  Tables produced by external embedding models (per-residue encoders
 mean-pooled to a fixed width, etc.) are loaded from disk and treated as
 opaque; the only embedding computed in-process is the positional one-hot.
+A one-hot row is a pure function of its residue codes (one uint8 per
+position), so one-hot tables are encoded, stored and loaded as codes and
+decoded into float64 rows by one scatter.
 """
 from __future__ import annotations
 
@@ -13,11 +16,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
-    AA_INDEX, AMINO_ACIDS, CONTAINER_MAGIC, ProteinRecord, read_container, write_container,
+    AMINO_ACIDS, CONTAINER_MAGIC, ProteinRecord, read_container, write_container,
 )
 
 DEFAULT_MAX_LEN = 1000
 ONE_HOT_TAG = "one-hot"
+
+_ALPHABET = len(AMINO_ACIDS)
+# residue code by code point: 1..25 in alphabet order, 0 (refused) for the rest
+_CODE_OF = np.zeros(128, dtype=np.uint8)
+_CODE_OF[[ord(aa) for aa in AMINO_ACIDS]] = np.arange(1, _ALPHABET + 1)
 
 _KIND = "embedding-table"
 
@@ -96,21 +104,43 @@ class EmbeddingTable:
         return self._matrix if ids is None else self._matrix[self.rows(ids)]
 
 
+def _residue_codes(seqs: Sequence[str], max_len: int) -> np.ndarray:
+    """``(len(seqs), max_len)`` uint8 residue codes, truncated/padded.
+
+    Code 0 pads; code ``k`` is ``AMINO_ACIDS[k - 1]``.  Only the first
+    ``max_len`` residues are read; the first of them outside the alphabet
+    raises EmbeddingError.
+    """
+    if max_len <= 0:
+        raise EmbeddingError(f"max_len must be positive, got {max_len}")
+    codes = np.zeros((len(seqs), max_len), dtype=np.uint8)
+    for row, seq in zip(codes, seqs):
+        head = seq[:max_len]
+        points = np.frombuffer(head.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        row[: len(head)] = _CODE_OF[np.minimum(points, len(_CODE_OF) - 1)]
+        bad = np.flatnonzero(row[: len(head)] == 0)
+        if bad.size:
+            raise EmbeddingError(f"character {head[bad[0]]!r} outside the sequence alphabet")
+    return codes
+
+
+def _decode_codes(codes: np.ndarray) -> np.ndarray:
+    """The ``(n, 25 * max_len)`` float64 one-hot rows of ``(n, max_len)`` codes
+    in ``0..25``, set by one scatter."""
+    rows = np.zeros((codes.shape[0], _ALPHABET * codes.shape[1]))
+    flat = codes.ravel()
+    hot = np.flatnonzero(flat)
+    rows.ravel()[hot * _ALPHABET + flat[hot] - 1] = 1.0
+    return rows
+
+
 def one_hot_encode(seq: str, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
     """Positional one-hot over the 25-symbol alphabet, truncated/padded.
 
     The vector has one block of 25 per position; its sum equals
     min(len(seq), max_len).
     """
-    if max_len <= 0:
-        raise EmbeddingError(f"max_len must be positive, got {max_len}")
-    vec = np.zeros(len(AMINO_ACIDS) * max_len, dtype=np.float64)
-    for pos, ch in enumerate(seq[:max_len]):
-        try:
-            vec[pos * len(AMINO_ACIDS) + AA_INDEX[ch]] = 1.0
-        except KeyError:
-            raise EmbeddingError(f"character {ch!r} outside the sequence alphabet") from None
-    return vec
+    return _decode_codes(_residue_codes([seq], max_len))[0]
 
 
 def one_hot_table(
@@ -118,14 +148,41 @@ def one_hot_table(
     max_len: int = DEFAULT_MAX_LEN,
 ) -> EmbeddingTable:
     """Encode (id, seq) pairs or records into a one-hot table."""
-    if max_len <= 0:
-        raise EmbeddingError(f"max_len must be positive, got {max_len}")
     items = [(item.id, item.seq) if isinstance(item, ProteinRecord) else item
              for item in pairs]
-    matrix = np.zeros((len(items), len(AMINO_ACIDS) * max_len), dtype=np.float64)
-    for row, (_rec_id, seq) in zip(matrix, items):
-        row[:] = one_hot_encode(seq, max_len)
-    return EmbeddingTable.from_rows(ONE_HOT_TAG, [rec_id for rec_id, _seq in items], matrix)
+    codes = _residue_codes([seq for _rec_id, seq in items], max_len)
+    return EmbeddingTable.from_rows(
+        ONE_HOT_TAG, [rec_id for rec_id, _seq in items], _decode_codes(codes))
+
+
+def _one_hot_codes(table: EmbeddingTable) -> np.ndarray:
+    """The residue codes of a one-hot table; raises EmbeddingError, naming
+    the first bad row, unless they decode to its matrix bit for bit."""
+    if table.dim % _ALPHABET:
+        raise EmbeddingError(
+            f"table {table.tag}: width {table.dim} is not a multiple of {_ALPHABET}")
+    matrix = table.matrix()
+    blocks = matrix.reshape(len(table), table.dim // _ALPHABET, _ALPHABET)
+    codes = (blocks.argmax(axis=2) + 1).astype(np.uint8)
+    codes[~blocks.any(axis=2)] = 0
+    # row by row, so the check never holds a second table-sized matrix
+    for rec_id, row, row_codes in zip(table.ids(), matrix, codes):
+        decoded = _decode_codes(row_codes[None])[0]
+        if not np.array_equal(decoded.view(np.uint64), row.view(np.uint64)):
+            raise EmbeddingError(f"table {table.tag}: the vector for {rec_id} is not one-hot")
+    return codes
+
+
+def _stored_codes_matrix(codes: np.ndarray) -> np.ndarray:
+    """Decode a stored ``codes`` array, refusing a wrong dtype, shape or code."""
+    if codes.dtype != np.uint8 or codes.ndim != 2:
+        raise EmbeddingError(f"codes must be 2-D uint8, not {codes.dtype} {codes.shape}")
+    bad = np.flatnonzero(codes.ravel() > _ALPHABET)
+    if bad.size:
+        raise EmbeddingError(
+            f"row {bad[0] // codes.shape[1]} holds residue code {codes.flat[bad[0]]}, "
+            f"above {_ALPHABET}")
+    return _decode_codes(codes)
 
 
 # --------------------------------------------------------------------------
@@ -133,19 +190,33 @@ def one_hot_table(
 
 
 def save_embedding_table(table: EmbeddingTable, path: str | Path) -> None:
-    """Binary container: ``meta = {tag, ids}`` and one ``(n, dim)`` float64 ``vectors``.
+    """Binary container with ``meta = {tag, ids}`` and one array.
 
-    Loading and re-saving is byte-identical.
+    A table tagged one-hot stores ``codes``, its ``(n, max_len)`` uint8
+    residue codes (see :func:`_residue_codes`), and is refused unless they
+    decode to its matrix bit for bit; any other table stores ``vectors``,
+    its ``(n, dim)`` float64 matrix.  Loading and re-saving is byte-identical.
     """
-    write_container(path, _KIND, {"tag": table.tag, "ids": table.ids()},
-                    {"vectors": table.matrix()})
+    meta = {"tag": table.tag, "ids": table.ids()}
+    if table.tag == ONE_HOT_TAG:
+        write_container(path, _KIND, meta, {"codes": _one_hot_codes(table)})
+    else:
+        write_container(path, _KIND, meta, {"vectors": table.matrix()})
 
 
 def _load_binary_table(path: Path, tag: Optional[str]) -> EmbeddingTable:
-    """The stored matrix becomes the table's matrix; ``tag`` overrides the stored tag."""
+    """The stored (or decoded) matrix becomes the table's matrix; ``tag``
+    overrides the stored tag."""
     meta, arrays = read_container(path, _KIND, EmbeddingError)
     try:
-        stored_tag, ids, matrix = meta["tag"], meta["ids"], arrays["vectors"]
+        stored_tag, ids = meta["tag"], meta["ids"]
+        if arrays.keys() == {"vectors"}:
+            matrix = arrays["vectors"]
+        elif arrays.keys() == {"codes"}:
+            matrix = _stored_codes_matrix(arrays["codes"])
+        else:
+            raise EmbeddingError(
+                f"arrays {sorted(arrays)}: need exactly one of 'vectors' and 'codes'")
         return EmbeddingTable.from_rows(stored_tag if tag is None else tag, ids, matrix)
     except (KeyError, TypeError, EmbeddingError) as exc:
         raise EmbeddingError(f"{path}: bad embedding table: {exc}") from None

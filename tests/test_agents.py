@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
@@ -433,11 +434,12 @@ class TestEcRanker:
         meta_path.write_text("[1, 2]", encoding="ascii")
         with pytest.raises(AgentError, match="JSON object"):
             load()
-        assert meta.keys() == {"format", "version", "label_of_point", "negatives_used"}
-        meta_path.write_text(json.dumps(dict(meta, version=1)), encoding="ascii")
-        with pytest.raises(AgentError, match="unrecognized"):
-            load()
-        meta_path.write_text(json.dumps(dict(meta, label_of_point=[1, 2])), encoding="ascii")
+        assert meta.keys() == {"format", "version", "negatives_used"}
+        for version in (1, 2):  # version 2 also stored every point's label
+            meta_path.write_text(json.dumps(dict(meta, version=version)), encoding="ascii")
+            with pytest.raises(AgentError, match="unrecognized"):
+                load()
+        meta_path.write_text(json.dumps(dict(meta, negatives_used=[1, 2])), encoding="ascii")
         with pytest.raises(AgentError, match="bad EC-ranker payload"):
             load()
         del meta["negatives_used"]
@@ -449,14 +451,18 @@ class TestEcRanker:
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
         label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
-        meta_path = tmp_path / "ranker_meta.json"
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
-        first = next(iter(meta["label_of_point"]))
-        for points in ({k: v for k, v in meta["label_of_point"].items() if k != first},
-                       dict(meta["label_of_point"], **{first: len(label_dict)})):
-            meta_path.write_text(json.dumps(dict(meta, label_of_point=points)), encoding="ascii")
-            with pytest.raises(AgentError, match="disagree"):
-                EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
+        load = lambda labels: EcRanker.load(tmp_path, table, labels, _FAST_RANKER)  # noqa: E731
+        want = {f"R{k}|{'2.2.2.2' if k >= 6 else '1.1.1.1'}": int(k >= 6) for k in range(12)}
+        assert load(label_dict).label_of_point == want
+        # labels.tsv without 2.2.2.2: the first point of that EC is named
+        with pytest.raises(AgentError, match=r"point 'R6\|2\.2\.2\.2' disagrees"):
+            load(LabelDictionary([parse_ec("1.1.1.1"), parse_ec("3.3.3.3")]))
+        path = tmp_path / "ranker_index.bin"
+        meta, arrays = read_container(path, "ann-index", AgentError)
+        for bad in ("R0|6.6.6.6", "R0", "R0|1.1.1"):
+            write_container(path, "ann-index", dict(meta, ids=[bad] + meta["ids"][1:]), arrays)
+            with pytest.raises(AgentError, match=re.escape(f"point {bad!r} disagrees")):
+                load(label_dict)
 
     def test_training_is_deterministic(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.2.2.2", 8)])

@@ -29,7 +29,7 @@ from ecann.bundle import (
 )
 from ecann.core import PredictionSource, format_ec
 from ecann.demo import make_demo_snapshots
-from ecann.embedding import EmbeddingTable
+from ecann.embedding import EmbeddingTable, one_hot_table
 from ecann.gbdt import GbdtParams
 from ecann.integrate import IntegrationPolicy, PolicyGrid, integrate
 
@@ -262,7 +262,9 @@ class TestBatchAnnotation:
         with pytest.raises(BundleError, match="^query 'b': sequence must be non-empty$"):
             annotator.annotate([("a", seq), ("b", ""), ("", seq)])
 
-    def test_an_alignment_failure_fails_only_its_row(self, annotator, corpus):
+    def test_an_alignment_failure_fails_only_its_row(self, annotator, corpus, monkeypatch):
+        import ecann.alignment as alignment
+
         # at these scores a pair's cells must stay under 4,096 to fit int32
         coarse = AlignmentParams(match=1 << 16, mismatch=-(1 << 16), gap_open=1 << 16,
                                  gap_extend=1)
@@ -271,11 +273,25 @@ class TestBatchAnnotation:
                           annotator.params)
         queries = self._queries(corpus)
         long_query = ("long", corpus[1].seq * 12)
-        tsv, failed = annotate_to_tsv(built, queries[:2] + [long_query] + queries[2:])
+        # a supplied vector, so a non-ASCII query reaches the aligner instead of the embedder
+        accented = ("accented", corpus[2].seq[:30] + "\xe9" + corpus[2].seq[30:])
+        vectors = EmbeddingTable.from_rows(
+            annotator.table.tag, ["accented"], annotator.table.matrix([corpus[2].id]))
+        calls = []
+        align_pairs = alignment._align_pairs
+        monkeypatch.setattr(alignment, "_align_pairs",
+                            lambda pairs, params: calls.append(len(pairs)) or align_pairs(pairs, params))
+        tsv, failed = annotate_to_tsv(
+            built, queries[:2] + [long_query] + queries[2:4] + [accented] + queries[4:], vectors=vectors)
+        assert len(calls) == 1
         rows = _tsv_rows(tsv)
-        assert failed == 1
+        assert failed == 2
+        assert rows.pop(5) == ("accented\t\t\t\t\terror: 'ascii' codec can't encode "
+                               "character '\\xe9' in position 30: ordinal not in range(128)")
         assert "exceeds the int32 band limit" in rows.pop(2)
-        assert rows == _tsv_rows(annotate_to_tsv(built, queries)[0])
+        for (query_id, seq), row in zip(queries, rows):
+            one, n_failed = annotate_to_tsv(built, [(query_id, seq)])
+            assert n_failed == 0 and _tsv_rows(one) == [row]
 
     def test_threads_sharing_one_annotator_agree(self, annotator, corpus):
         queries = [(f"q{k}-{rec.id}", rec.seq) for k in range(2) for rec in corpus]
@@ -307,6 +323,22 @@ class TestPersistence:
         (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=2)))
         with pytest.raises(BundleError, match="unrecognized bundle format"):
             Annotator.load(target)
+
+    def test_version_3_bundle_is_refused(self, saved_dir, tmp_path):
+        # version 3 stored a one-hot table as float64 rows and each ranker point's label
+        target = tmp_path / "v3"
+        target.mkdir()
+        manifest = json.loads((saved_dir / MANIFEST_FILE).read_text())
+        assert manifest["version"] == 4
+        (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=3)))
+        with pytest.raises(BundleError, match="unrecognized bundle format"):
+            Annotator.load(target)
+
+    def test_one_hot_table_is_stored_as_one_byte_per_position(self, saved_dir, corpus):
+        size = (saved_dir / "embeddings.bin").stat().st_size
+        assert size <= len(corpus) * TEST_PARAMS.max_len + 4096
+        again = Annotator.load(saved_dir)
+        assert again.table.matrix().tobytes() == one_hot_table(corpus, TEST_PARAMS.max_len).matrix().tobytes()
 
     def test_resave_is_byte_identical(self, saved_dir, tmp_path):
         again = Annotator.load(saved_dir)
@@ -355,7 +387,7 @@ class TestPersistence:
         del manifest["artifacts"]["embeddings.bin"]
         (target / MANIFEST_FILE).write_text(json.dumps(manifest))
         blob = bytearray((target / "embeddings.bin").read_bytes())
-        blob[-1] ^= 0x40  # a vector byte: the table itself would still load
+        blob[-1] ^= 0x01  # a residue code: the table itself would still load
         (target / "embeddings.bin").write_bytes(bytes(blob))
         with pytest.raises(BundleError, match="exactly the artifacts"):
             Annotator.load(target)

@@ -306,6 +306,7 @@ def _arrays():
     return {
         "vectors": np.arange(15.0).reshape(5, 3),
         "counts": np.array([3, -1, 7], dtype=np.int32),
+        "codes": np.array([[1, 25, 0], [7, 0, 0]], dtype=np.uint8),
         "empty": np.zeros(0, dtype=np.uint32),
         "links": np.array([4, 0, 2, 9, 1], dtype=np.uint32),
     }

@@ -5,16 +5,38 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ecann.core import AMINO_ACIDS, CONTAINER_MAGIC
+from ecann.core import AA_INDEX, AMINO_ACIDS, CONTAINER_MAGIC, read_container, write_container
 from ecann.embedding import (
     EmbeddingError,
     EmbeddingTable,
+    ONE_HOT_TAG,
     one_hot_encode,
     one_hot_table,
     load_embedding_table,
     save_embedding_table,
     save_embedding_table_tsv,
 )
+
+
+def _per_residue_one_hot(seq, max_len):
+    """The one-hot encoder as it was before residue codes: one Python step per residue."""
+    if max_len <= 0:
+        raise EmbeddingError(f"max_len must be positive, got {max_len}")
+    vec = np.zeros(len(AMINO_ACIDS) * max_len, dtype=np.float64)
+    for pos, ch in enumerate(seq[:max_len]):
+        try:
+            vec[pos * len(AMINO_ACIDS) + AA_INDEX[ch]] = 1.0
+        except KeyError:
+            raise EmbeddingError(f"character {ch!r} outside the sequence alphabet") from None
+    return vec
+
+
+def _outcome(fn, *args):
+    """The bytes of ``fn(*args)``, or the message of the EmbeddingError it raised."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except EmbeddingError as exc:
+        return str(exc)
 
 
 class TestOneHot:
@@ -46,6 +68,28 @@ def test_one_hot_sum_equals_clamped_length(seq, max_len):
     # Each position block holds at most a single 1.
     blocks = vec.reshape(max_len, 25)
     assert np.all(blocks.sum(axis=1) <= 1.0)
+
+
+_SEQS = st.lists(st.text(alphabet=AMINO_ACIDS, max_size=40), max_size=6)
+
+
+@given(st.text(alphabet=AMINO_ACIDS, max_size=40), st.integers(1, 30))
+def test_one_hot_encode_matches_the_per_residue_oracle(seq, max_len):
+    assert one_hot_encode(seq, max_len).tobytes() == _per_residue_one_hot(seq, max_len).tobytes()
+
+
+@given(st.text(alphabet=AMINO_ACIDS + "#*x\x7f\xe9\u0101", max_size=40), st.integers(1, 30))
+def test_one_hot_encode_names_the_first_bad_character_like_the_oracle(seq, max_len):
+    assert _outcome(one_hot_encode, seq, max_len) == _outcome(_per_residue_one_hot, seq, max_len)
+
+
+@given(_SEQS, st.integers(1, 30))
+def test_one_hot_table_rows_match_the_per_residue_oracle(seqs, max_len):
+    table = one_hot_table([(f"P{k}", seq) for k, seq in enumerate(seqs)], max_len)
+    assert table.matrix().shape == (len(seqs), 25 * max_len)
+    assert table.matrix().flags.c_contiguous and not table.matrix().flags.writeable
+    for row, seq in zip(table.matrix(), seqs):
+        assert row.tobytes() == _per_residue_one_hot(seq, max_len).tobytes()
 
 
 class TestEmbeddingTable:
@@ -241,3 +285,88 @@ class TestTableIo:
         path.write_bytes(head + b"P0" + np.arange(7.0).tobytes())
         with pytest.raises(EmbeddingError, match="neither an ecann container nor a UTF-8"):
             load_embedding_table(path)
+
+
+class TestOneHotCodes:
+    """A one-hot table is stored as one uint8 residue code per position."""
+
+    SEQS = [("P0", "MKVLA"), ("P1", "ACDEFGHIKLMNPQRSTVWYBZXUO"), ("P2", "W")]
+
+    def saved(self, tmp_path, max_len=8):
+        path = tmp_path / "a.bin"
+        save_embedding_table(one_hot_table(self.SEQS, max_len), path)
+        return path
+
+    def test_codes_are_stored_and_decode_bit_for_bit(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, rest = _split_container(path.read_bytes())
+        assert header["arrays"] == [{"dtype": "|u1", "name": "codes", "shape": [3, 8]}]
+        _, arrays = read_container(path, "embedding-table", EmbeddingError)
+        assert arrays["codes"][0].tolist() == [11, 9, 18, 10, 1, 0, 0, 0]  # M K V L A
+        assert arrays["codes"][1].tolist() == list(range(1, 9))
+        loaded = load_embedding_table(path)
+        want = one_hot_table(self.SEQS, 8).matrix()
+        assert loaded.tag == ONE_HOT_TAG and loaded.ids() == ("P0", "P1", "P2")
+        assert loaded.matrix().tobytes() == want.tobytes()
+        assert loaded.matrix().flags.c_contiguous and not loaded.matrix().flags.writeable
+        again = tmp_path / "b.bin"
+        save_embedding_table(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_every_prefix_is_a_named_error(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(EmbeddingError):
+                load_embedding_table(path)
+
+    @pytest.mark.parametrize("code", [26, 255])
+    def test_a_code_above_25_is_refused(self, tmp_path, code):
+        path = self.saved(tmp_path)
+        meta, arrays = read_container(path, "embedding-table", EmbeddingError)
+        codes = arrays["codes"].copy()
+        codes[2, 3] = code
+        write_container(path, "embedding-table", meta, {"codes": codes})
+        with pytest.raises(EmbeddingError, match=f"row 2 holds residue code {code}, above 25"):
+            load_embedding_table(path)
+
+    def test_both_arrays_or_neither_is_refused(self, tmp_path):
+        path = self.saved(tmp_path)
+        meta, arrays = read_container(path, "embedding-table", EmbeddingError)
+        both = {"codes": arrays["codes"], "vectors": one_hot_table(self.SEQS, 8).matrix()}
+        for stored in (both, {}):
+            write_container(path, "embedding-table", meta, stored)
+            with pytest.raises(EmbeddingError, match="exactly one of 'vectors' and 'codes'"):
+                load_embedding_table(path)
+
+    def test_codes_of_another_dtype_are_refused(self, tmp_path):
+        path = self.saved(tmp_path)
+        meta, arrays = read_container(path, "embedding-table", EmbeddingError)
+        write_container(path, "embedding-table", meta,
+                        {"codes": arrays["codes"].astype(np.uint32)})
+        with pytest.raises(EmbeddingError, match="codes must be 2-D uint8"):
+            load_embedding_table(path)
+
+    @pytest.mark.parametrize("damage", ["half", "two hot", "negative zero", "minus one"])
+    def test_a_one_hot_tag_on_other_rows_is_refused_at_save(self, tmp_path, damage):
+        matrix = one_hot_table(self.SEQS, 8).matrix().copy()
+        block = matrix[1].reshape(8, 25)[6]  # P1's seventh position: H
+        if damage == "half":
+            block[7] = 0.5
+        elif damage == "two hot":
+            block[0] = 1.0
+        elif damage == "negative zero":
+            matrix[1, -1] = -0.0
+        else:
+            matrix[1, -1] = -1.0
+        table = EmbeddingTable.from_rows(ONE_HOT_TAG, ["P0", "P1", "P2"], matrix)
+        path = tmp_path / "a.bin"
+        with pytest.raises(EmbeddingError, match="the vector for P1 is not one-hot"):
+            save_embedding_table(table, path)
+        assert not path.exists()
+
+    def test_a_one_hot_tag_on_a_width_off_the_alphabet_is_refused_at_save(self, tmp_path):
+        table = EmbeddingTable.from_rows(ONE_HOT_TAG, ["P0"], np.zeros((1, 26)))
+        with pytest.raises(EmbeddingError, match="width 26 is not a multiple of 25"):
+            save_embedding_table(table, tmp_path / "a.bin")
