@@ -70,9 +70,6 @@ def test_one_hot_sum_equals_clamped_length(seq, max_len):
     assert np.all(blocks.sum(axis=1) <= 1.0)
 
 
-_SEQS = st.lists(st.text(alphabet=AMINO_ACIDS, max_size=40), max_size=6)
-
-
 @given(st.text(alphabet=AMINO_ACIDS, max_size=40), st.integers(1, 30))
 def test_one_hot_encode_matches_the_per_residue_oracle(seq, max_len):
     assert one_hot_encode(seq, max_len).tobytes() == _per_residue_one_hot(seq, max_len).tobytes()
@@ -83,7 +80,7 @@ def test_one_hot_encode_names_the_first_bad_character_like_the_oracle(seq, max_l
     assert _outcome(one_hot_encode, seq, max_len) == _outcome(_per_residue_one_hot, seq, max_len)
 
 
-@given(_SEQS, st.integers(1, 30))
+@given(st.lists(st.text(alphabet=AMINO_ACIDS, max_size=40), max_size=6), st.integers(1, 30))
 def test_one_hot_table_rows_match_the_per_residue_oracle(seqs, max_len):
     table = one_hot_table([(f"P{k}", seq) for k, seq in enumerate(seqs)], max_len)
     assert table.matrix().shape == (len(seqs), 25 * max_len)
