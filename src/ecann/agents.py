@@ -59,26 +59,32 @@ class AgentError(ValueError):
     """Invalid agent inputs: coverage gaps, label-range or task violations."""
 
 
-def save_classifiers(path: str | Path, classifiers: dict[int, LinearModel]) -> None:
-    """Write per-label classifiers as one container: each model's scalars in
-    the meta, its arrays named ``<label>.indices``/``.values``/``.curve``."""
+def save_classifiers(path: str | Path, classifiers: dict[int, LinearModel],
+                     negatives_used: dict[int, int]) -> None:
+    """Write per-label classifiers as one container: each model's scalars and
+    its ``negatives`` count in the meta, its arrays named
+    ``<label>.indices``/``.values``/``.curve``."""
     models, arrays = [], {}
     for label, clf in sorted(classifiers.items()):
         scalars = {k: v for k, v in asdict(clf.meta).items() if k != "objective_curve"}
-        models.append({"label": label, "dim": clf.dim, "bias": clf.bias, **scalars})
+        models.append({"label": label, "dim": clf.dim, "bias": clf.bias,
+                       "negatives": negatives_used[label], **scalars})
         arrays[f"{label}.indices"] = clf.indices
         arrays[f"{label}.values"] = clf.values
         arrays[f"{label}.curve"] = np.asarray(clf.meta.objective_curve, dtype=np.float64)
     write_container(path, _CLASSIFIERS_KIND, {"models": models}, arrays)
 
 
-def load_classifiers(path: str | Path) -> dict[int, LinearModel]:
-    """Read a :func:`save_classifiers` file; any damage raises AgentError."""
+def load_classifiers(path: str | Path) -> tuple[dict[int, LinearModel], dict[int, int]]:
+    """Read a :func:`save_classifiers` file as (classifiers, negatives used)
+    by label; any damage raises AgentError."""
     stored, arrays = read_container(path, _CLASSIFIERS_KIND, AgentError)
     classifiers: dict[int, LinearModel] = {}
+    negatives_used: dict[int, int] = {}
     try:
         for model in stored["models"]:
             label, dim, bias = model.pop("label"), model.pop("dim"), model.pop("bias")
+            negatives_used[label] = int(model.pop("negatives"))
             curve = tuple(arrays[f"{label}.curve"].tolist())
             classifiers[label] = LinearModel(
                 dim=dim, indices=arrays[f"{label}.indices"],
@@ -87,7 +93,7 @@ def load_classifiers(path: str | Path) -> dict[int, LinearModel]:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise AgentError(f"{path}: bad ranker classifier: {exc}") from exc
-    return classifiers
+    return classifiers, negatives_used
 
 
 class RankingMode(str, Enum):
@@ -210,7 +216,6 @@ class FunctionCountModel:
 
     sp: GbdtModel
     mp: GbdtModel
-    n_features: int
 
     @classmethod
     def train(
@@ -239,7 +244,7 @@ class FunctionCountModel:
         mp = train_gbdt(
             x[multi], counts[multi] - 2, params.mp, n_classes=_MP_CLASSES
         )
-        return cls(sp=sp, mp=mp, n_features=table.dim)
+        return cls(sp=sp, mp=mp)
 
     def predict(self, x: np.ndarray) -> int:
         row = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -251,7 +256,6 @@ class FunctionCountModel:
         return {
             "format": "function-count-pair",
             "version": 1,
-            "n_features": self.n_features,
             "sp": self.sp.to_dict(),
             "mp": self.mp.to_dict(),
         }
@@ -265,7 +269,6 @@ class FunctionCountModel:
         return cls(
             sp=GbdtModel.from_dict(payload["sp"]),
             mp=GbdtModel.from_dict(payload["mp"]),
-            n_features=int(payload["n_features"]),
         )
 
     def save(self, path: str | Path) -> None:
@@ -300,8 +303,25 @@ class EcRankerParams:
             raise AgentError("svm_c must be > 0")
 
 
-def _point_id(record_id: str, ec: ECNumber) -> str:
-    return f"{record_id}|{format_ec(ec)}"
+def _points(
+    records: Sequence[ProteinRecord], table: EmbeddingTable, label_dict: LabelDictionary
+) -> tuple[list[str], list[int], list[str]]:
+    """Each ranker point's id ``record|EC``, label and record id, in record order.
+
+    A record contributes one point per EC it carries, a repeated EC once.
+    """
+    _check_coverage(records, table)
+    point_ids: list[str] = []
+    point_labels: list[int] = []
+    point_records: list[str] = []
+    for rec in records:
+        if not rec.is_enzyme:
+            raise AgentError(f"record {rec.id!r} is not an enzyme")
+        for ec in dict.fromkeys(rec.ecs):
+            point_ids.append(f"{rec.id}|{format_ec(ec)}")
+            point_labels.append(label_dict.label_of(ec))
+            point_records.append(rec.id)
+    return point_ids, point_labels, point_records
 
 
 class EcRanker:
@@ -337,19 +357,7 @@ class EcRanker:
     ) -> "EcRanker":
         if not records:
             raise AgentError("cannot train the EC ranker on zero records")
-        _check_coverage(records, table)
-
-        point_ids: list[str] = []
-        point_labels: list[int] = []
-        point_records: list[str] = []
-        for rec in records:
-            if not rec.is_enzyme:
-                raise AgentError(f"record {rec.id!r} is not an enzyme")
-            for ec in dict.fromkeys(rec.ecs):  # a repeated EC is one point
-                point_ids.append(_point_id(rec.id, ec))
-                point_labels.append(label_dict.label_of(ec))
-                point_records.append(rec.id)
-
+        point_ids, point_labels, point_records = _points(records, table, label_dict)
         index = AnnIndex.build(table, params.ann, points=zip(point_ids, point_records))
         label_of_point = dict(zip(point_ids, point_labels))
         record_of_point = dict(zip(point_ids, point_records))
@@ -411,15 +419,9 @@ class EcRanker:
                 seen.append(label)
         return seen
 
-    def rank(
-        self,
-        x: np.ndarray,
-        mode: RankingMode = RankingMode.RECOMMENDATION,
-        count_hint: int = 1,
-    ) -> list[tuple[ECNumber, float]]:
-        """Ranked (EC, score) pairs, widest-first ordering stable under ties."""
-        if count_hint < 1:
-            raise AgentError(f"count_hint must be >= 1, got {count_hint}")
+    def rank(self, x: np.ndarray) -> list[tuple[ECNumber, float]]:
+        """The top :data:`MAX_RECOMMENDATIONS` (EC, score) pairs, best first,
+        ties broken by canonical EC text; the integrator decides the width."""
         scored: list[tuple[float, str, ECNumber]] = []
         for label in self.shortlist(x):
             clf = self.classifiers.get(label)
@@ -429,51 +431,34 @@ class EcRanker:
             score = float(sigmoid(decision(clf, x)))
             scored.append((score, format_ec(ec), ec))
         scored.sort(key=lambda item: (-item[0], item[1]))
-        width = count_hint if mode is RankingMode.PREDICTION else MAX_RECOMMENDATIONS
-        return [(ec, score) for score, _text, ec in scored[:width]]
+        return [(ec, score) for score, _text, ec in scored[:MAX_RECOMMENDATIONS]]
 
     # -- persistence -----------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write the ranker into ``directory`` as three sibling files.  They hold
-        no vectors, labels or parameters: :meth:`load` takes those from the bundle."""
+        """Write the ranker into ``directory`` as two sibling files: the index
+        graph and the classifiers.  They hold no vectors, points, labels or
+        parameters: :meth:`load` derives those from its arguments."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.index.save(directory / "ranker_index.bin")
-        save_classifiers(directory / "ranker_classifiers.bin", self.classifiers)
-        meta = {
-            "format": "ec-ranker",
-            "version": 3,
-            "negatives_used": {str(k): v for k, v in self.negatives_used.items()},
-        }
-        (directory / "ranker_meta.json").write_text(
-            json.dumps(meta, sort_keys=True, separators=(",", ":")), encoding="ascii"
-        )
+        save_classifiers(directory / "ranker_classifiers.bin", self.classifiers,
+                         self.negatives_used)
 
     @classmethod
-    def load(cls, directory: str | Path, table: EmbeddingTable,
-             label_dict: LabelDictionary, params: EcRankerParams) -> "EcRanker":
-        """Read a saved ranker whose index addresses rows of ``table``; each
-        point's label is the EC after the last ``|`` of its id ``record|EC``."""
+    def load(
+        cls,
+        directory: str | Path,
+        records: Sequence[ProteinRecord],
+        table: EmbeddingTable,
+        label_dict: LabelDictionary,
+        params: EcRankerParams,
+    ) -> "EcRanker":
+        """Read a ranker saved by one trained on these arguments."""
         directory = Path(directory)
-        meta = json.loads((directory / "ranker_meta.json").read_text(encoding="ascii"))
-        if not isinstance(meta, dict):
-            raise AgentError("EC-ranker payload must be a JSON object")
-        if meta.get("format") != "ec-ranker" or meta.get("version") != 3:
-            raise AgentError("unrecognized EC-ranker payload")
-        try:
-            negatives_used = {int(k): int(v) for k, v in meta["negatives_used"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise AgentError(f"{directory}: bad EC-ranker payload: {exc}") from exc
-        index = AnnIndex.load(directory / "ranker_index.bin", table)
-        label_of_ec = {format_ec(ec): label for label, ec in enumerate(label_dict.ecs())}
-        label_of_point: dict[str, int] = {}
-        for pid in index.ids:
-            try:
-                label_of_point[pid] = label_of_ec[pid.rpartition("|")[2]]
-            except (AttributeError, KeyError):
-                raise AgentError(
-                    f"{directory}: ranker point {pid!r} disagrees with the label "
-                    "dictionary: its EC is not in it") from None
-        classifiers = load_classifiers(directory / "ranker_classifiers.bin")
-        return cls(label_dict, classifiers, index, label_of_point, params, negatives_used)
+        point_ids, point_labels, point_records = _points(records, table, label_dict)
+        index = AnnIndex.load(directory / "ranker_index.bin", table, params.ann,
+                              points=zip(point_ids, point_records))
+        classifiers, negatives_used = load_classifiers(directory / "ranker_classifiers.bin")
+        return cls(label_dict, classifiers, index, dict(zip(point_ids, point_labels)),
+                   params, negatives_used)

@@ -10,16 +10,17 @@ upper layer, 2m on the ground layer).  Queries descend the same way and
 run a best-first beam of width ef_search on the ground layer.
 
 A node is a row of an embedding table, which holds its vector; the index
-keeps and saves only row numbers.  Construction is single-threaded and
-fully deterministic for a fixed seed and insertion order; that, not
-speed, is the canonical behaviour.  Returned distances are exact
-(recomputed in float64), only the neighbour *set* is approximate.
+keeps only row numbers and saves only the graph, so loading takes the
+same table, parameters and points that building did.  Construction is
+single-threaded and fully deterministic for a fixed seed and insertion
+order; that, not speed, is the canonical behaviour.  Returned distances
+are exact (recomputed in float64), only the neighbour *set* is approximate.
 ``brute_force_knn`` is the exact oracle used to measure recall.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -127,9 +128,9 @@ class AnnIndex:
               points: Optional[Iterable[tuple[str, str]]] = None) -> "AnnIndex":
         """Insert ``points``, (node id, table id) pairs, in order; by default
         every table id is a node of its own."""
-        points = list(points) if points is not None else [(i, i) for i in table.ids()]
-        index = cls(params, table.matrix(), table.rows([rec_id for _, rec_id in points]))
-        for node_id, _ in points:
+        node_ids, rows = _nodes(table, points)
+        index = cls(params, table.matrix(), rows)
+        for node_id in node_ids:
             index._insert(node_id)
         return index
 
@@ -298,35 +299,33 @@ class AnnIndex:
     # -- serialization ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Container with ``meta = {params, ids, entry, top_level}`` and the
-        arrays ``levels``, ``rows`` (each node's table row, not its vector),
-        ``degrees`` (one per node-layer, in node then layer order) and
-        ``links`` (every list, concatenated)."""
+        """Container holding only the graph: ``meta = {entry, top_level}`` and
+        the arrays ``levels``, ``degrees`` (one per node-layer, in node then
+        layer order) and ``links`` (every list, concatenated)."""
         lists = [links for layers in self.graph for links in layers]
-        meta = {"params": asdict(self.params), "ids": self.ids,
-                "entry": self.entry, "top_level": self.top_level}
-        write_container(path, _KIND, meta, {
+        write_container(path, _KIND, {"entry": self.entry, "top_level": self.top_level}, {
             "levels": np.asarray(self.levels, dtype="<u4"),
-            "rows": self._rows[: len(self.ids)].astype("<u4"),
             "degrees": np.asarray([len(links) for links in lists], dtype="<u4"),
             "links": np.asarray([nb for links in lists for nb in links], dtype="<u4"),
         })
 
     @classmethod
-    def load(cls, path: str | Path, table: EmbeddingTable) -> "AnnIndex":
-        """Read an index saved over ``table``; any damage raises :class:`AnnFormatError`."""
+    def load(cls, path: str | Path, table: EmbeddingTable, params: AnnParams,
+             points: Optional[Iterable[tuple[str, str]]] = None) -> "AnnIndex":
+        """Read the graph of an index built as ``build(table, params, points)``;
+        any damage raises :class:`AnnFormatError`."""
+        node_ids, rows = _nodes(table, points)
         meta, arrays = read_container(path, _KIND, AnnFormatError)
         try:
-            ids, rows, links = meta["ids"], arrays["rows"], arrays["links"]
+            links = arrays["links"]
             levels, degrees = arrays["levels"].tolist(), arrays["degrees"].tolist()
-            if rows.shape != (len(ids),) or len(levels) != len(ids):
-                raise AnnFormatError("ids, levels and rows disagree on the node count")
-            if rows.dtype != np.uint32 or np.any(rows >= len(table)):
-                raise AnnFormatError(f"a node row is outside the {len(table)}-row table")
+            if len(levels) != len(node_ids):
+                raise AnnFormatError(
+                    f"the file holds {len(levels)} nodes, not the {len(node_ids)} points")
             if len(degrees) != len(levels) + sum(levels) or sum(degrees) != len(links):
                 raise AnnFormatError("degrees disagree with the levels or the links")
-            index = cls(AnnParams(**meta["params"]), table.matrix(), rows)
-            index.ids = list(ids)
+            index = cls(params, table.matrix(), rows)
+            index.ids = node_ids
             index.levels = levels
             index.graph = _split(_split(links.tolist(), degrees), [lvl + 1 for lvl in levels])
             index.entry, index.top_level = meta["entry"], meta["top_level"]
@@ -334,6 +333,13 @@ class AnnIndex:
         except (AssertionError, KeyError, TypeError, ValueError) as exc:
             raise AnnFormatError(f"{path}: {exc}") from exc
         return index
+
+
+def _nodes(table: EmbeddingTable,
+           points: Optional[Iterable[tuple[str, str]]]) -> tuple[list[str], np.ndarray]:
+    """Node ids and table rows of ``points``; by default every table id, in order."""
+    points = list(points) if points is not None else [(i, i) for i in table.ids()]
+    return [node_id for node_id, _ in points], table.rows([rec_id for _, rec_id in points])
 
 
 def _split(items: list, sizes: list[int]) -> list[list]:

@@ -3,12 +3,14 @@
 A bundle is a self-contained directory.  ``manifest.json`` carries the
 format tag, the embedding recipe, the integration policy, all training
 parameters, and a sha256 digest per artifact file; the artifacts are the
-training records (flat file), the embedding table, the count model, the
-EC ranker, and the label dictionary.  Each fact is stored once: a one-hot
+training records (flat file), the embedding table, the count model, and
+the EC ranker's index graph and classifiers.  Each fact is stored once,
+and everything training derives from the records, the table and the
+parameters is derived again on load: the label dictionary from the
+records' ECs, the ranker's points (``record|EC`` ids, labels and table
+rows) from the records, and every parameter from the manifest.  A one-hot
 embedding table holds one uint8 residue code per position, not its
-float64 rows; the ranker's index holds rows of the embedding table, not
-vectors; and the ranker takes its parameters from the manifest and each
-point's label from the EC in its id and ``labels.tsv``.  No file encodes
+float64 rows, and the table alone names its embedding.  No file encodes
 wall-clock time, so rebuilding from the same inputs reproduces every byte.
 
 The enzyme gate and the k-mer alignment index hold no fitted state
@@ -39,7 +41,9 @@ from .agents import (
 )
 from .alignment import AlignmentParams, Hit, KmerIndex
 from .ann import AnnParams
-from .core import LabelDictionary, Prediction, PredictionSource, ProteinRecord
+from .core import (
+    LabelDictionary, Prediction, PredictionSource, ProteinRecord, build_label_dictionary,
+)
 from .dataset import parse_flatfile, validation_split, write_flatfile
 from .embedding import (
     EmbeddingTable,
@@ -62,16 +66,15 @@ from .integrate import (
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "ec-annotation-bundle"
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.tsv"
 EMBEDDINGS_FILE = "embeddings.bin"
 COUNTS_FILE = "counts.json"
-LABELS_FILE = "labels.tsv"
-RANKER_FILES = ("ranker_index.bin", "ranker_classifiers.bin", "ranker_meta.json")
+RANKER_FILES = ("ranker_index.bin", "ranker_classifiers.bin")
 
-ARTIFACT_FILES = (RECORDS_FILE, EMBEDDINGS_FILE, COUNTS_FILE, LABELS_FILE) + RANKER_FILES
+ARTIFACT_FILES = (RECORDS_FILE, EMBEDDINGS_FILE, COUNTS_FILE) + RANKER_FILES
 
 
 class BundleError(RuntimeError):
@@ -134,15 +137,20 @@ class _Stack:
     aligner: KmerIndex
 
 
+def _ranked(records: Sequence[ProteinRecord]) -> tuple[list[ProteinRecord], LabelDictionary]:
+    """The enzymes among ``records`` and their label dictionary: the ranker's inputs."""
+    enzymes = [rec for rec in records if rec.is_enzyme]
+    if not enzymes:
+        raise BundleError("training set has no enzymes; nothing to rank")
+    return enzymes, build_label_dictionary(enzymes)
+
+
 def _fit_stack(
     records: Sequence[ProteinRecord],
     table: EmbeddingTable,
     params: BundleParams,
 ) -> _Stack:
-    enzymes = [rec for rec in records if rec.is_enzyme]
-    if not enzymes:
-        raise BundleError("training set has no enzymes; nothing to rank")
-    label_dict = LabelDictionary(ec for rec in enzymes for ec in rec.ecs)
+    enzymes, label_dict = _ranked(records)
     gate = EnzymeGate.train(records, table, params.gate)
     counts = FunctionCountModel.train(enzymes, table, params.counts)
     ranker = EcRanker.train(enzymes, table, label_dict, params.ranker)
@@ -177,7 +185,7 @@ class Annotator:
     def agent_outputs(self, vec: np.ndarray) -> AgentOutputs:
         is_enzyme, confidence = self._stack.gate.predict(vec)
         count = self._stack.counts.predict(vec)
-        ranked = tuple(self._stack.ranker.rank(vec, RankingMode.RECOMMENDATION))
+        ranked = tuple(self._stack.ranker.rank(vec))
         return AgentOutputs(
             is_enzyme=is_enzyme,
             enzyme_confidence=confidence,
@@ -316,12 +324,10 @@ class Annotator:
         write_flatfile(self.records, directory / RECORDS_FILE)
         save_embedding_table(self.table, directory / EMBEDDINGS_FILE)
         self._stack.counts.save(directory / COUNTS_FILE)
-        self._stack.ranker.label_dict.save(directory / LABELS_FILE)
         self._stack.ranker.save(directory)
         manifest = {
             "format": BUNDLE_FORMAT,
             "version": BUNDLE_VERSION,
-            "embedding_tag": self.table.tag,
             "policy": self.policy.to_dict(),
             "params": self.params.to_dict(),
             "artifacts": {
@@ -344,7 +350,7 @@ class Annotator:
                 or manifest.get("format") != BUNDLE_FORMAT
                 or manifest.get("version") != BUNDLE_VERSION):
             raise BundleError("unrecognized bundle format")
-        missing = {"embedding_tag", "policy", "params", "artifacts"} - manifest.keys()
+        missing = {"policy", "params", "artifacts"} - manifest.keys()
         if missing:
             raise BundleError(f"bundle manifest lacks {sorted(missing)}")
         digests = manifest["artifacts"]
@@ -366,16 +372,11 @@ class Annotator:
         if rejects:
             raise BundleError(f"bundle records file has {len(rejects)} bad rows")
         table = load_embedding_table(directory / EMBEDDINGS_FILE)
-        if table.tag != manifest["embedding_tag"]:
-            raise BundleError(
-                f"embedding tag mismatch: table {table.tag!r} "
-                f"!= manifest {manifest['embedding_tag']!r}"
-            )
-        label_dict = LabelDictionary.load(directory / LABELS_FILE)
+        enzymes, label_dict = _ranked(records)
         stack = _Stack(
             gate=EnzymeGate.train(records, table, params.gate),
             counts=FunctionCountModel.load(directory / COUNTS_FILE),
-            ranker=EcRanker.load(directory, table, label_dict, params.ranker),
+            ranker=EcRanker.load(directory, enzymes, table, label_dict, params.ranker),
             aligner=KmerIndex.build(records, params.alignment),
         )
         return cls(records=records, table=table, stack=stack,

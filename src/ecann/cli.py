@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agents import CountModelParams, EcRankerParams, EnzymeGateParams, RankingMode
 from .bundle import Annotator, BundleParams, annotate_to_tsv, sha256_file, train_bundle
-from .core import LabelDictionary, Task
+from .core import Task, build_label_dictionary
 from .dataset import (
     Snapshot,
     chronological_split,
@@ -303,9 +303,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not args.train:
             raise SystemExit("error: --task ec-number needs --train for the label dictionary")
         train_records, _ = _read_records(args.train, "training set")
-        label_dict = LabelDictionary(
-            ec for rec in train_records for ec in rec.ecs
-        )
+        label_dict = build_label_dictionary(train_records)
     report = evaluate_task(predictions, gold, task, label_dict)
     print(format_report_table(report))
     if args.out:

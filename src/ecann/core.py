@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class ECNumber:
                 raise ECParseError(
                     f"top-level class must be in 1..{EC_TOP_CLASSES}, got {lvl}"
                 )
-
-    @property
-    def text(self) -> str:
-        return format_ec(self)
 
     def __str__(self) -> str:
         return format_ec(self)
@@ -256,8 +252,9 @@ class LabelDictionary:
     """
 
     def __init__(self, ecs: Iterable[ECNumber]):
-        texts = sorted({format_ec(ec) for ec in ecs})
-        self._label_to_ec: tuple[ECNumber, ...] = tuple(parse_ec(t) for t in texts)
+        by_text = {format_ec(ec): ec for ec in ecs}
+        texts = sorted(by_text)
+        self._label_to_ec: tuple[ECNumber, ...] = tuple(by_text[t] for t in texts)
         self._ec_to_label: dict[str, int] = {t: i for i, t in enumerate(texts)}
 
     def __len__(self) -> int:
@@ -281,32 +278,6 @@ class LabelDictionary:
         if not 0 <= label < len(self._label_to_ec):
             raise KeyError(f"label {label} outside 0..{len(self._label_to_ec) - 1}")
         return self._label_to_ec[label]
-
-    def ecs(self) -> Iterator[ECNumber]:
-        return iter(self._label_to_ec)
-
-    def save(self, path: str | Path) -> None:
-        """Two-column tab-separated text (ec, label), sorted by label."""
-        lines = [f"{format_ec(ec)}\t{i}" for i, ec in enumerate(self._label_to_ec)]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LabelDictionary":
-        ecs: list[ECNumber] = []
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no + 1}: expected 2 columns, got {len(parts)}")
-            ec, label = parse_ec(parts[0]), int(parts[1])
-            if label != len(ecs):
-                raise ValueError(f"{path}:{line_no + 1}: labels must be dense and sorted")
-            ecs.append(ec)
-        loaded = cls(ecs)
-        if [format_ec(e) for e in loaded._label_to_ec] != [format_ec(e) for e in ecs]:
-            raise ValueError(f"{path}: entries are not in canonical lexicographic order")
-        return loaded
 
 
 def build_label_dictionary(records: Iterable[ProteinRecord]) -> LabelDictionary:

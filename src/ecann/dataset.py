@@ -22,10 +22,8 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     ECParseError,
-    LabelDictionary,
     ProteinRecord,
     Task,
-    build_label_dictionary,
     format_ec_list,
     normalize_sequence,
     parse_ec_list,
@@ -229,7 +227,6 @@ class PreprocessReport:
 class PreprocessResult:
     records: tuple[ProteinRecord, ...]
     report: PreprocessReport
-    label_dict: LabelDictionary
 
 
 def preprocess(records: Sequence[ProteinRecord]) -> PreprocessResult:
@@ -239,8 +236,9 @@ def preprocess(records: Sequence[ProteinRecord]) -> PreprocessResult:
     changed between duplicate rows, since the id's identity is in
     doubt; (2) collapse records sharing an identical sequence, keeping
     the earliest by (date_integrated, id); (3..5) canonical EC text and
-    dense labels come from the parsed EC values via the emitted label
-    dictionary; (6) the function count is simply the EC list length.
+    dense labels come from the parsed EC values, through
+    :func:`~ecann.core.build_label_dictionary` wherever labels are
+    needed; (6) the function count is simply the EC list length.
     """
     raw_count = len(records)
 
@@ -275,7 +273,7 @@ def preprocess(records: Sequence[ProteinRecord]) -> PreprocessResult:
         removed_duplicate=removed_dupes,
     )
     report.validate()
-    return PreprocessResult(records=clean, report=report, label_dict=build_label_dictionary(clean))
+    return PreprocessResult(records=clean, report=report)
 
 
 @dataclass(frozen=True)

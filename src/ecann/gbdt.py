@@ -226,7 +226,6 @@ class GbdtModel:
 
     n_classes: int
     n_features: int
-    params: GbdtParams
     trees: list[list[Tree]]
     train_error_curve: tuple[float, ...]
 
@@ -259,15 +258,6 @@ class GbdtModel:
             "version": _VERSION,
             "n_classes": self.n_classes,
             "n_features": self.n_features,
-            "params": {
-                "n_estimators": self.params.n_estimators,
-                "learning_rate": self.params.learning_rate,
-                "max_depth": self.params.max_depth,
-                "min_child_weight": self.params.min_child_weight,
-                "subsample": self.params.subsample,
-                "reg_lambda": self.params.reg_lambda,
-                "seed": self.params.seed,
-            },
             "train_error_curve": list(self.train_error_curve),
             "trees": [
                 [
@@ -308,7 +298,6 @@ class GbdtModel:
         return cls(
             n_classes=int(payload["n_classes"]),
             n_features=int(payload["n_features"]),
-            params=GbdtParams(**payload["params"]),
             trees=trees,
             train_error_curve=tuple(float(v) for v in payload["train_error_curve"]),
         )
@@ -382,7 +371,6 @@ def train_gbdt(
     return GbdtModel(
         n_classes=k,
         n_features=arr.shape[1],
-        params=params,
         trees=trees,
         train_error_curve=tuple(curve),
     )

@@ -17,7 +17,7 @@ from urllib.error import HTTPError
 import numpy as np
 import pytest
 
-from ecann.agents import CountModelParams, EcRankerParams, RankingMode
+from ecann.agents import CountModelParams, EcRankerParams
 from ecann.alignment import (
     AlignmentParams,
     Hit,
@@ -278,7 +278,7 @@ def test_extreme_label_ranking_matches_full_one_vs_all_oracle():
 
     hits = 0
     for i in range(n_labels):
-        top = ranker.rank(queries[i], RankingMode.PREDICTION, count_hint=1)
+        top = ranker.rank(queries[i])[:1]
         hits += top[0][0] == parse_ec(ec_text(i))
     shortlisted_acc = hits / n_labels
 
@@ -292,7 +292,7 @@ def test_extreme_label_ranking_matches_full_one_vs_all_oracle():
     assert shortlisted_acc >= oracle_acc - 0.02
 
     for qi in (0, 123, 499):
-        ranked = ranker.rank(queries[qi], RankingMode.RECOMMENDATION)
+        ranked = ranker.rank(queries[qi])
         assert 1 <= len(ranked) <= 20
         keys = [(-score, str(ec)) for ec, score in ranked]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)

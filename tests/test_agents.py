@@ -1,8 +1,6 @@
 """Agent tests: KNN gate semantics, two-stage counts, shortlisted ranking."""
 
 import datetime as dt
-import json
-import re
 
 import numpy as np
 import pytest
@@ -16,12 +14,12 @@ from ecann.agents import (
     EnzymeGateParams,
     FunctionCountModel,
     MAX_RECOMMENDATIONS,
-    RankingMode,
 )
-from ecann.ann import AnnParams, brute_force_knn
+from ecann.ann import AnnFormatError, AnnIndex, AnnParams, brute_force_knn
 from ecann.core import (
     LabelDictionary,
     ProteinRecord,
+    build_label_dictionary,
     format_ec,
     parse_ec,
     parse_ec_list,
@@ -259,7 +257,7 @@ def _ranker_corpus(label_specs, seed=0, noise=0.2, dim=6):
 class TestEcRanker:
     def test_two_label_toy_classifiers_are_sign_correct(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 12), ("2.2.2.2", 12)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         assert set(ranker.classifiers) == {0, 1}
         for rec in records:
@@ -273,7 +271,7 @@ class TestEcRanker:
         records, table, _, _ = _ranker_corpus(
             [("1.1.1.1", 10), ("2.2.2.2", 10), ("3.3.3.3", 10)]
         )
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         params = EcRankerParams(
             ann=AnnParams(m=8, ef_construction=60, ef_search=60),
             negative_budget=7, shortlist_size=10, svm_max_iter=100,
@@ -287,7 +285,7 @@ class TestEcRanker:
 
     def test_self_query_shortlist_contains_own_label(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.7.11.1", 8)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         for rec in records:
             shortlist = ranker.shortlist(table.get(rec.id))
@@ -296,7 +294,7 @@ class TestEcRanker:
     def test_multifunctional_records_contribute_one_point_per_ec(self):
         records = [_rec("M1", "1.1.1.1;2.2.2.2"), _rec("S1", "3.3.3.3")]
         table = _table({"M1": [1.0, 0.0], "S1": [0.0, 1.0]})
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         m1_points = [p for p in ranker.label_of_point if p.startswith("M1|")]
         assert sorted(m1_points) == ["M1|1.1.1.1", "M1|2.2.2.2"]
@@ -307,46 +305,31 @@ class TestEcRanker:
     def test_a_repeated_ec_is_one_point(self):
         records = [_rec("M1", "1.1.1.1;1.1.1.1"), _rec("S1", "3.3.3.3")]
         table = _table({"M1": [1.0, 0.0], "S1": [0.0, 1.0]})
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         assert sorted(ranker.index.ids) == ["M1|1.1.1.1", "S1|3.3.3.3"]
 
     def test_recommendation_mode_caps_at_twenty_sorted(self):
         specs = [(f"{1 + i % 7}.{1 + i // 7}.1.{1 + i}", 3) for i in range(25)]
         records, table, centers, _ = _ranker_corpus(specs, dim=8)
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         params = EcRankerParams(
             ann=AnnParams(m=8, ef_construction=80, ef_search=120),
             negative_budget=30, shortlist_size=75, svm_max_iter=60,
         )
         ranker = EcRanker.train(records, table, label_dict, params)
-        ranked = ranker.rank(np.zeros(8), RankingMode.RECOMMENDATION)
+        ranked = ranker.rank(np.zeros(8))
         assert 0 < len(ranked) <= MAX_RECOMMENDATIONS
         keys = [(-score, format_ec(ec)) for ec, score in ranked]
         assert keys == sorted(keys)
         assert all(0.0 < score < 1.0 for _, score in ranked)
-
-    def test_prediction_mode_returns_count_hint_entries(self):
-        records, table, centers, _ = _ranker_corpus(
-            [("1.1.1.1", 8), ("2.2.2.2", 8), ("3.3.3.3", 8)]
-        )
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
-        ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
-        query = centers["1.1.1.1"]
-        top = ranker.rank(query, RankingMode.PREDICTION, count_hint=1)
-        assert len(top) == 1
-        assert format_ec(top[0][0]) == "1.1.1.1"
-        two = ranker.rank(query, RankingMode.PREDICTION, count_hint=2)
-        assert len(two) == 2
-        with pytest.raises(AgentError):
-            ranker.rank(query, RankingMode.PREDICTION, count_hint=0)
 
     def test_score_ties_break_on_canonical_ec_text(self):
         # identical geometry for both labels -> identical classifiers/scores
         vecs = {"A1": [1.0, 0.0], "A2": [1.1, 0.0], "B1": [1.0, 0.0], "B2": [1.1, 0.0]}
         records = [_rec("A1", "3.1.1.1"), _rec("A2", "3.1.1.1"),
                    _rec("B1", "1.1.1.1"), _rec("B2", "1.1.1.1")]
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table := _table(vecs), label_dict,
                                 _FAST_RANKER)
         ranked = ranker.rank(np.array([1.05, 0.0]))
@@ -374,11 +357,13 @@ class TestEcRanker:
         records, table, centers, rng = _ranker_corpus(
             [("1.1.1.1", 8), ("2.7.11.1", 8), ("3.1.3.16", 8)]
         )
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         ranker = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         ranker.save(tmp_path / "a")
-        again = EcRanker.load(tmp_path / "a", table, label_dict, _FAST_RANKER)
+        again = EcRanker.load(tmp_path / "a", records, table, label_dict, _FAST_RANKER)
         assert again.params == ranker.params
+        assert again.index.ids == ranker.index.ids
+        assert again.index.graph == ranker.index.graph
         assert again.label_of_point == ranker.label_of_point
         assert again.negatives_used == ranker.negatives_used
         assert again.label_dict == ranker.label_dict
@@ -394,79 +379,83 @@ class TestEcRanker:
             q = rng.normal(size=6) * 2.0
             assert again.rank(q) == ranker.rank(q)
         again.save(tmp_path / "b")
-        for name in ("ranker_index.bin", "ranker_classifiers.bin", "ranker_meta.json"):
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "ranker_classifiers.bin", "ranker_index.bin"]
+        for name in ("ranker_index.bin", "ranker_classifiers.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_every_truncated_classifier_file_is_a_named_error(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
         path = tmp_path / "ranker_classifiers.bin"
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(AgentError, match="truncated"):
-                EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
+                EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER)
         path.write_bytes(blob + b"\0")
         with pytest.raises(AgentError, match="trailing"):
-            EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
+            EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER)
         path.write_bytes(blob)
-        assert set(EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER).classifiers) == {0, 1}
+        assert set(EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER).classifiers) == {0, 1}
 
     def test_out_of_range_weight_index_is_a_named_error(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
         path = tmp_path / "ranker_classifiers.bin"
         meta, arrays = read_container(path, "ranker-classifiers", AgentError)
         arrays = dict(arrays, **{"0.indices": arrays["0.indices"] | np.int32(1 << 23)})
         write_container(path, "ranker-classifiers", meta, arrays)
         with pytest.raises(AgentError, match="out of range"):
-            EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)
+            EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER)
 
-    def test_non_object_meta_rejected(self, tmp_path):
+    def test_classifier_entry_without_negatives_is_rejected(self, tmp_path):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
-        meta_path = tmp_path / "ranker_meta.json"
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
-        load = lambda: EcRanker.load(tmp_path, table, label_dict, _FAST_RANKER)  # noqa: E731
-        meta_path.write_text("[1, 2]", encoding="ascii")
-        with pytest.raises(AgentError, match="JSON object"):
-            load()
-        assert meta.keys() == {"format", "version", "negatives_used"}
-        for version in (1, 2):  # version 2 also stored every point's label
-            meta_path.write_text(json.dumps(dict(meta, version=version)), encoding="ascii")
-            with pytest.raises(AgentError, match="unrecognized"):
+        path = tmp_path / "ranker_classifiers.bin"
+        meta, arrays = read_container(path, "ranker-classifiers", AgentError)
+        load = lambda: EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER)  # noqa: E731
+        assert [model["negatives"] for model in meta["models"]] == [
+            load().negatives_used[label] for label in (0, 1)]
+        for bad in (None, "many", [1]):
+            models = [dict(meta["models"][0], negatives=bad)] + meta["models"][1:]
+            write_container(path, "ranker-classifiers", {"models": models}, arrays)
+            with pytest.raises(AgentError, match="bad ranker classifier"):
                 load()
-        meta_path.write_text(json.dumps(dict(meta, negatives_used=[1, 2])), encoding="ascii")
-        with pytest.raises(AgentError, match="bad EC-ranker payload"):
-            load()
-        del meta["negatives_used"]
-        meta_path.write_text(json.dumps(meta), encoding="ascii")
-        with pytest.raises(AgentError, match="bad EC-ranker payload"):
+        del models[0]["negatives"]
+        write_container(path, "ranker-classifiers", {"models": models}, arrays)
+        with pytest.raises(AgentError, match="bad ranker classifier: 'negatives'"):
             load()
 
     def test_points_must_match_the_index_and_the_labels(self, tmp_path):
+        # each point's id and label come from the records, not from the file
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 6), ("2.2.2.2", 6)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         EcRanker.train(records, table, label_dict, _FAST_RANKER).save(tmp_path)
-        load = lambda labels: EcRanker.load(tmp_path, table, labels, _FAST_RANKER)  # noqa: E731
+        load = lambda: EcRanker.load(tmp_path, records, table, label_dict, _FAST_RANKER)  # noqa: E731
         want = {f"R{k}|{'2.2.2.2' if k >= 6 else '1.1.1.1'}": int(k >= 6) for k in range(12)}
-        assert load(label_dict).label_of_point == want
-        # labels.tsv without 2.2.2.2: the first point of that EC is named
-        with pytest.raises(AgentError, match=r"point 'R6\|2\.2\.2\.2' disagrees"):
-            load(LabelDictionary([parse_ec("1.1.1.1"), parse_ec("3.3.3.3")]))
+        assert load().label_of_point == want
         path = tmp_path / "ranker_index.bin"
-        meta, arrays = read_container(path, "ann-index", AgentError)
-        for bad in ("R0|6.6.6.6", "R0", "R0|1.1.1"):
-            write_container(path, "ann-index", dict(meta, ids=[bad] + meta["ids"][1:]), arrays)
-            with pytest.raises(AgentError, match=re.escape(f"point {bad!r} disagrees")):
-                load(label_dict)
+        blob = path.read_bytes()
+        # an index over one point fewer or one more than the records give
+        points = [(pid, pid.split("|")[0]) for pid in want]
+        for nodes in (points[:-1], points + [("R0|3.3.3.3", "R0")]):
+            AnnIndex.build(table, _FAST_RANKER.ann, points=nodes).save(path)
+            with pytest.raises(AnnFormatError, match=f"holds {len(nodes)} nodes, not the 12 points"):
+                load()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(AnnFormatError, match="truncated"):
+                load()
+        path.write_bytes(blob)
+        assert load().label_of_point == want
 
     def test_training_is_deterministic(self):
         records, table, _, _ = _ranker_corpus([("1.1.1.1", 8), ("2.2.2.2", 8)])
-        label_dict = LabelDictionary(ec for r in records for ec in r.ecs)
+        label_dict = build_label_dictionary(records)
         a = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         b = EcRanker.train(records, table, label_dict, _FAST_RANKER)
         assert a.negatives_used == b.negatives_used

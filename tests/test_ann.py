@@ -235,11 +235,12 @@ def test_structural_invariants_hold_for_any_build(n, dim, m, seed):
 class TestSerialization:
     def test_round_trip_preserves_results_and_bytes(self, tmp_path):
         table = make_table(150, 10, seed=11)
-        index = AnnIndex.build(table, AnnParams(m=8, ef_construction=60, ef_search=60, seed=1))
+        params = AnnParams(m=8, ef_construction=60, ef_search=60, seed=1)
+        index = AnnIndex.build(table, params)
         p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
         index.save(p1)
-        loaded = AnnIndex.load(p1, table)
-        assert loaded.params == index.params
+        loaded = AnnIndex.load(p1, table, params)
+        assert loaded.ids == index.ids and loaded.graph == index.graph
         rng = np.random.default_rng(12)
         for _ in range(5):
             q = rng.normal(size=10)
@@ -254,7 +255,7 @@ class TestSerialization:
         params = AnnParams(m=8, ef_construction=60, ef_search=60, metric="cosine", seed=1)
         index = AnnIndex.build(table, params)
         index.save(tmp_path / "a.idx")
-        loaded = AnnIndex.load(tmp_path / "a.idx", table)
+        loaded = AnnIndex.load(tmp_path / "a.idx", table, params)
         rng = np.random.default_rng(12)
         for _ in range(50):
             q = rng.normal(size=32)
@@ -262,39 +263,42 @@ class TestSerialization:
 
     def test_load_validates_degree_bounds(self, tmp_path):
         table = make_table(30, 4, seed=13)
-        index = AnnIndex.build(table, AnnParams(m=2, ef_construction=20, ef_search=20))
+        params = AnnParams(m=2, ef_construction=20, ef_search=20)
+        index = AnnIndex.build(table, params)
         # Corrupt: blow one adjacency list past its cap, then persist.
         index.graph[0][0] = list(range(1, 20))
         path = tmp_path / "bad.idx"
         index.save(path)
         with pytest.raises(AnnFormatError, match="degree"):
-            AnnIndex.load(path, table)
+            AnnIndex.load(path, table, params)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
         path.write_bytes(b"NOTANIDX" * 4)
         with pytest.raises(ValueError, match="container"):
-            AnnIndex.load(path, make_table(3, 2))
+            AnnIndex.load(path, make_table(3, 2), AnnParams())
 
     def test_every_truncation_and_padding_is_a_named_error(self, tmp_path):
         table = make_table(6, 3, seed=14)
-        index = AnnIndex.build(table, AnnParams(m=2, ef_construction=8))
+        params = AnnParams(m=2, ef_construction=8)
+        index = AnnIndex.build(table, params)
         path = tmp_path / "a.idx"
         index.save(path)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
             with pytest.raises(AnnFormatError):
-                AnnIndex.load(path, table)
+                AnnIndex.load(path, table, params)
         path.write_bytes(blob + b"\0")
         with pytest.raises(AnnFormatError, match="trailing"):
-            AnnIndex.load(path, table)
+            AnnIndex.load(path, table, params)
         path.write_bytes(blob)
-        assert AnnIndex.load(path, table).graph == index.graph
+        assert AnnIndex.load(path, table, params).graph == index.graph
 
-    def test_index_file_holds_rows_not_vectors(self, tmp_path):
+    def test_index_file_holds_only_the_graph(self, tmp_path):
         # Integer coordinates make every distance exact, so the same points
-        # zero-padded to a wider dim give the same graph, hence the same file.
+        # zero-padded to a wider dim give the same graph, hence the same file:
+        # no vectors, rows, ids or parameters are stored.
         rng = np.random.default_rng(16)
         narrow = rng.integers(-5, 6, size=(40, 4)).astype(float)
         wide = np.hstack([narrow, np.zeros((40, 60))])
@@ -304,25 +308,28 @@ class TestSerialization:
         for dim, matrix in ((4, narrow), (64, wide)):
             path = tmp_path / f"d{dim}.idx"
             AnnIndex.build(EmbeddingTable.from_rows("t", ids, matrix), params).save(path)
-            _, arrays = read_container(path, "ann-index", AnnFormatError)
-            assert "rows" in arrays and all(a.dtype != np.float64 for a in arrays.values())
+            meta, arrays = read_container(path, "ann-index", AnnFormatError)
+            assert meta.keys() == {"entry", "top_level"}
+            assert arrays.keys() == {"levels", "degrees", "links"}
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_points_address_table_rows(self, tmp_path):
-        # Several nodes may share a row; a table too short for a row is refused.
+        # Several nodes may share a row; a load over other points than the build is refused.
         table = make_table(10, 3, seed=17)
+        params = AnnParams(m=4, ef_construction=20)
         points = [(f"{rid}|{k}", rid) for k in range(2) for rid in table.ids()[2:8]]
-        index = AnnIndex.build(table, AnnParams(m=4, ef_construction=20), points=points)
+        index = AnnIndex.build(table, params, points=points)
         assert index.ids == [node_id for node_id, _ in points]
         q = np.ones(3)
         want = brute_force_knn(EmbeddingTable.from_rows(
             "p", index.ids, table.matrix([rid for _, rid in points])), q, 5)
         assert index.search(q, 5, ef_search=len(points)) == want
         index.save(tmp_path / "a.idx")
-        assert AnnIndex.load(tmp_path / "a.idx", table).search(q, 5) == index.search(q, 5)
-        with pytest.raises(AnnFormatError, match="outside the 7-row table"):
-            AnnIndex.load(tmp_path / "a.idx", make_table(7, 3))
+        loaded = AnnIndex.load(tmp_path / "a.idx", table, params, points=points)
+        assert loaded.ids == index.ids and loaded.search(q, 5) == index.search(q, 5)
+        with pytest.raises(AnnFormatError, match="holds 12 nodes, not the 10 points"):
+            AnnIndex.load(tmp_path / "a.idx", table, params)
 
     def test_cosine_checks_only_indexed_rows_for_zero(self):
         table = EmbeddingTable.from_rows("t", ["Z", "A", "B"], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -334,6 +341,7 @@ class TestSerialization:
 
 
 _FLIP_TABLE = make_table(30, 4, seed=15)
+_FLIP_PARAMS = AnnParams(m=4, ef_construction=20)
 
 
 @given(data=st.data())
@@ -341,13 +349,13 @@ _FLIP_TABLE = make_table(30, 4, seed=15)
 def test_bit_flip_is_a_named_error_or_a_valid_index(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "ann-bit-flip.idx"
     if not path.exists():
-        AnnIndex.build(_FLIP_TABLE, AnnParams(m=4, ef_construction=20)).save(path)
+        AnnIndex.build(_FLIP_TABLE, _FLIP_PARAMS).save(path)
     blob = bytearray(path.read_bytes())
     blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
     flipped = path.with_suffix(".flipped")
     flipped.write_bytes(bytes(blob))
     try:
-        loaded = AnnIndex.load(flipped, _FLIP_TABLE)
+        loaded = AnnIndex.load(flipped, _FLIP_TABLE, _FLIP_PARAMS)
     except AnnFormatError:
         return
     loaded.validate()

@@ -324,13 +324,15 @@ class TestPersistence:
         with pytest.raises(BundleError, match="unrecognized bundle format"):
             Annotator.load(target)
 
-    def test_version_3_bundle_is_refused(self, saved_dir, tmp_path):
-        # version 3 stored a one-hot table as float64 rows and each ranker point's label
-        target = tmp_path / "v3"
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_bundle_version_is_refused(self, saved_dir, tmp_path, version):
+        # version 3 stored a one-hot table as float64 rows and each ranker point's
+        # label; version 4 stored the labels, ranker points and parameters twice
+        target = tmp_path / f"v{version}"
         target.mkdir()
         manifest = json.loads((saved_dir / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 4
-        (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=3)))
+        assert manifest["version"] == 5
+        (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=version)))
         with pytest.raises(BundleError, match="unrecognized bundle format"):
             Annotator.load(target)
 
@@ -350,10 +352,11 @@ class TestPersistence:
     def test_manifest_has_exactly_the_declared_fields(self, saved_dir):
         # no timestamp or host fields: rebuilds must be byte-identical
         manifest = json.loads((saved_dir / MANIFEST_FILE).read_text())
-        assert set(manifest) == {
-            "format", "version", "embedding_tag", "policy", "params", "artifacts",
-        }
+        assert set(manifest) == {"format", "version", "policy", "params", "artifacts"}
         assert set(manifest["artifacts"]) == set(ARTIFACT_FILES)
+
+    def test_bundle_directory_holds_exactly_the_artifacts(self, saved_dir):
+        assert sorted(p.name for p in saved_dir.iterdir()) == sorted(ARTIFACT_FILES + (MANIFEST_FILE,))
 
     def test_tampered_artifact_is_detected(self, annotator, tmp_path):
         target = tmp_path / "tampered"
@@ -366,7 +369,7 @@ class TestPersistence:
     def test_missing_artifact_is_detected(self, annotator, tmp_path):
         target = tmp_path / "incomplete"
         annotator.save(target)
-        (target / "labels.tsv").unlink()
+        (target / "ranker_index.bin").unlink()
         with pytest.raises(BundleError, match="missing"):
             Annotator.load(target)
 

@@ -232,21 +232,6 @@ class TestLabelDictionary:
         with pytest.raises(KeyError):
             d.ec_of(5)
 
-    def test_save_load_round_trip(self, tmp_path):
-        d = LabelDictionary([parse_ec("1.1.1.2"), parse_ec("1.1.1.1"), parse_ec("7.1.-.-")])
-        path = tmp_path / "labels.tsv"
-        d.save(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "1.1.1.1\t0"
-        loaded = LabelDictionary.load(path)
-        assert loaded == d
-
-    def test_load_rejects_non_dense_labels(self, tmp_path):
-        path = tmp_path / "labels.tsv"
-        path.write_text("1.1.1.1\t0\n1.1.1.2\t2\n")
-        with pytest.raises(ValueError, match="dense"):
-            LabelDictionary.load(path)
-
 
 @given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 40)), min_size=1, max_size=30))
 def test_label_dictionary_is_a_bijection(pairs):

@@ -161,8 +161,7 @@ class TestPreprocess:
             record("A", seq="MKVL", ecs=("1.1.1.2",)),
             record("B", seq="GGWP", ecs=("1.1.1.1",)),
         ]
-        result = preprocess(recs)
-        d = result.label_dict
+        d = build_label_dictionary(preprocess(recs).records)
         assert d.label_of(parse_ec("1.1.1.1")) == 0
         assert d.label_of(parse_ec("1.1.1.2")) == 1
 

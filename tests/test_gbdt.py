@@ -264,7 +264,6 @@ class TestSerialization:
         model = FunctionCountModel(
             sp=train_gbdt(x, (y > 0).astype(int), params, n_classes=2),
             mp=train_gbdt(x, y, params),
-            n_features=x.shape[1],
         )
         path = tmp_path / "counts.json"
         model.save(path)
@@ -272,9 +271,10 @@ class TestSerialization:
         for old, new in ((model.sp, again.sp), (model.mp, again.mp)):
             assert np.array_equal(old.predict_margins(x), new.predict_margins(x))
             assert new.train_error_curve == old.train_error_curve
-            assert new.params == old.params
         # the file is canonical JSON, and a re-save of the loaded model is byte-identical
         blob = path.read_text(encoding="ascii")
+        # the training parameters live in the bundle manifest only
+        assert all("params" not in json.loads(blob)[stage] for stage in ("sp", "mp"))
         assert blob == json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":"))
         path2 = tmp_path / "again.json"
         again.save(path2)

@@ -329,14 +329,15 @@ class TestSerialization:
     def test_round_trip_byte_identical(self, tmp_path):
         pos, neg = separable_blobs(seed=12)
         model = train_l2svm(pos, neg, C=1.0)
-        save_classifiers(tmp_path / "a.bin", {3: model})
-        (label, loaded), = load_classifiers(tmp_path / "a.bin").items()
-        assert label == 3
+        save_classifiers(tmp_path / "a.bin", {3: model}, {3: 17})
+        classifiers, negatives_used = load_classifiers(tmp_path / "a.bin")
+        (label, loaded), = classifiers.items()
+        assert label == 3 and negatives_used == {3: 17}
         assert loaded.dim == model.dim
         assert loaded.indices.dtype == np.int32
         assert np.array_equal(loaded.indices, model.indices)
         assert np.array_equal(loaded.values, model.values)
         assert loaded.bias == model.bias
         assert loaded.meta == model.meta
-        save_classifiers(tmp_path / "b.bin", {3: loaded})
+        save_classifiers(tmp_path / "b.bin", classifiers, negatives_used)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

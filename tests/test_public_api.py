@@ -5,9 +5,12 @@ public classes.  A function, class or method that only tests call is
 code kept correct for nobody.  Private classes are skipped with all
 their methods: the standard library calls ``_Handler.do_GET`` by name.
 A name counts as referenced when it appears in ``src/``, ``scripts/`` or
-``perfbench/`` outside its own definition: as a name, an attribute, an
-import, or a word in a non-docstring string (perfbench names its wrap
-targets as strings).  ``__all__`` lists do not count.
+``perfbench/`` outside its own definition.  A function or class is
+referenced as a name, an attribute, an import, or a word in a
+non-docstring string (perfbench names its wrap targets as strings).  A
+method ``Class.method`` is referenced only as an attribute ``.method`` or
+as the string ``"Class.method"``: a word that happens to equal a method's
+name is no caller.  ``__all__`` lists do not count.
 
 A second guard resolves every call target the traced benchmark wraps.
 """
@@ -46,6 +49,8 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def _references(tree: ast.AST, exclude: ast.AST | None = None) -> set[str]:
+    """Names as ``name``, attributes as ``.attr``, string words as ``word`` and
+    each dotted pair in a string as ``A.b``."""
     skipped = {id(sub) for sub in ast.walk(exclude)} if exclude is not None else set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -60,11 +65,14 @@ def _references(tree: ast.AST, exclude: ast.AST | None = None) -> set[str]:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.add(f".{node.attr}")
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(re.findall(r"\w+", node.value))
+            for dotted in re.findall(r"\w+(?:\.\w+)+", node.value):
+                parts = dotted.split(".")
+                names.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]))
     return names
 
 
@@ -101,7 +109,9 @@ def test_no_public_name_is_referenced_only_from_tests():
                 continue
             refs = outside | _references(tree, exclude=node)
             refs = refs.union(*(names for other, names in whole.items() if other != path))
-            if node.name not in refs:
+            owner, _, method = qualname.rpartition(".")
+            spellings = {f".{method}", qualname} if owner else {node.name, f".{node.name}"}
+            if not spellings & refs:
                 unreferenced.append(f"{path.name}:{node.lineno} {qualname}")
     assert not unreferenced, "public names only tests reference: " + ", ".join(unreferenced)
 
