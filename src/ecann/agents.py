@@ -1,8 +1,7 @@
 """The three classification agents.
 
 * :class:`EnzymeGate` — enzyme/non-enzyme by inverse-distance-weighted KNN
-  over sequence embeddings (exact scan for small reference sets, graph index
-  above a size threshold).
+  over sequence embeddings, found by an exact scan.
 * :class:`FunctionCountModel` — two boosted-tree stages: ``sp`` separates
   mono- from multifunctional enzymes, ``mp`` picks the count 2..8 for the
   multifunctional ones.
@@ -22,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,30 +134,19 @@ def _weighted_vote(neighbors: Sequence[tuple[int, float]]) -> tuple[int, float]:
 @dataclass(frozen=True)
 class EnzymeGateParams:
     n_neighbors: int = 5
-    exact_scan_limit: int = 50_000  # reference sets below this use brute force
-    ann: AnnParams = AnnParams()
 
     def __post_init__(self) -> None:
         if self.n_neighbors < 1:
             raise AgentError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if self.exact_scan_limit < 0:
-            raise AgentError("exact_scan_limit must be >= 0")
 
 
 class EnzymeGate:
     """Binary KNN gate; queries run against a read-only reference table."""
 
-    def __init__(
-        self,
-        table: EmbeddingTable,
-        labels: dict[str, bool],
-        params: EnzymeGateParams,
-        index: Optional[AnnIndex],
-    ):
+    def __init__(self, table: EmbeddingTable, labels: dict[str, bool], params: EnzymeGateParams):
         self._table = table
         self._labels = labels
         self.params = params
-        self._index = index
 
     @classmethod
     def train(
@@ -175,23 +163,12 @@ class EnzymeGate:
         reference = table
         if ids != table.ids():  # a table embedded from these records is taken as is
             reference = EmbeddingTable.from_rows(table.tag, ids, table.matrix(ids))
-        index: Optional[AnnIndex] = None
-        if len(reference) >= params.exact_scan_limit:
-            index = AnnIndex.build(reference, params.ann)
-        return cls(reference, labels, params, index)
-
-    @property
-    def uses_index(self) -> bool:
-        return self._index is not None
+        return cls(reference, labels, params)
 
     def predict(self, x: np.ndarray) -> tuple[bool, float]:
         """(is_enzyme, confidence); confidence is the winning weight share."""
         k = min(self.params.n_neighbors, len(self._table))
-        if self._index is not None:
-            ef = max(self.params.ann.ef_search, 10 * self.params.n_neighbors)
-            found = self._index.search(x, k, ef_search=ef)
-        else:
-            found = brute_force_knn(self._table, x, k, self.params.ann.metric)
+        found = brute_force_knn(self._table, x, k)
         votes = [(int(self._labels[rec_id]), dist) for rec_id, dist in found]
         label, share = _weighted_vote(votes)
         return bool(label), share

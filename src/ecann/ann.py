@@ -15,7 +15,8 @@ same table, parameters and points that building did.  Construction is
 single-threaded and fully deterministic for a fixed seed and insertion
 order; that, not speed, is the canonical behaviour.  Returned distances
 are exact (recomputed in float64), only the neighbour *set* is approximate.
-``brute_force_knn`` is the exact oracle used to measure recall.
+Distances are Euclidean.  ``brute_force_knn`` is the exact scan: the
+enzyme gate's neighbour search, and the oracle used to measure recall.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .core import read_container, write_container
 from .embedding import EmbeddingTable
 
 _KIND = "ann-index"
-_METRICS = ("euclidean", "cosine")
 
 
 class AnnFormatError(ValueError):
@@ -43,7 +43,6 @@ class AnnParams:
     m: int = 100
     ef_construction: int = 300
     ef_search: int = 300
-    metric: str = "euclidean"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,8 +50,6 @@ class AnnParams:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if self.ef_construction < 1 or self.ef_search < 1:
             raise ValueError("ef_construction and ef_search must be positive")
-        if self.metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
     @property
     def level_scale(self) -> float:
@@ -62,34 +59,12 @@ class AnnParams:
         return 2 * self.m if layer == 0 else self.m
 
 
-def _distances(metric: str, matrix: np.ndarray, norms: np.ndarray, q: np.ndarray,
-               q_norm: float, idxs: np.ndarray) -> np.ndarray:
-    rows = matrix[idxs]  # a gathered copy, so it may be overwritten
-    if metric == "euclidean":
-        rows -= q
-        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    return 1.0 - (rows @ q) / (norms[idxs] * q_norm)
-
-
-def brute_force_knn(
-    table: EmbeddingTable, query: np.ndarray, k: int, metric: str = "euclidean"
-) -> list[tuple[str, float]]:
+def brute_force_knn(table: EmbeddingTable, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Exact k nearest neighbours, total order with ties broken by id."""
     if k < 1:
         raise ValueError("k must be positive")
-    matrix = table.matrix()
-    q = np.asarray(query, dtype=np.float64)
-    if metric == "euclidean":
-        diff = matrix - q
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    elif metric == "cosine":
-        norms = np.linalg.norm(matrix, axis=1)
-        q_norm = float(np.linalg.norm(q))
-        if q_norm == 0.0 or np.any(norms == 0.0):
-            raise ValueError("cosine distance undefined for zero vectors")
-        dists = 1.0 - (matrix @ q) / (norms * q_norm)
-    else:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+    diff = table.matrix() - np.asarray(query, dtype=np.float64)
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     # Only rows at or below the k-th smallest distance can make the cut.
     rows = range(len(dists))
     if k < len(dists):
@@ -100,8 +75,7 @@ def brute_force_knn(
 
 
 class AnnIndex:
-    """Layered graph index whose node i has the vector ``matrix[rows[i]]``.  Cosine
-    norms are taken for the whole matrix, so built and loaded indexes agree bit for bit."""
+    """Layered graph index whose node i has the vector ``matrix[rows[i]]``."""
 
     def __init__(self, params: AnnParams, matrix: np.ndarray, rows: Sequence[int]):
         self.params = params
@@ -111,9 +85,6 @@ class AnnIndex:
         self.graph: list[list[list[int]]] = []  # graph[node][layer] -> neighbours
         self._matrix = matrix
         self._rows = np.asarray(rows, dtype=np.intp)
-        self._norms = np.linalg.norm(matrix, axis=1) if params.metric == "cosine" else None
-        if self._norms is not None and np.any(self._norms[self._rows] == 0.0):
-            raise ValueError("cosine metric cannot index zero vectors")
         self.entry: int = -1
         self.top_level: int = -1
         self._rng = np.random.default_rng(params.seed)
@@ -139,32 +110,20 @@ class AnnIndex:
         u = max(u, np.finfo(float).tiny)
         return int(-np.log(u) * self.params.level_scale)
 
-    def _dist_many(self, q: np.ndarray, q_norm: float, nodes: Sequence[int]) -> np.ndarray:
-        return _distances(
-            self.params.metric, self._matrix, self._norms, q, q_norm,
-            self._rows[np.asarray(nodes, dtype=np.intp)],
-        )
+    def _dist_many(self, q: np.ndarray, nodes: Sequence[int]) -> np.ndarray:
+        rows = self._matrix[self._rows[np.asarray(nodes, dtype=np.intp)]]
+        rows -= q  # a gathered copy, so it may be overwritten
+        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
     def _vector(self, node: int) -> np.ndarray:
         return self._matrix[self._rows[node]]
 
-    def _norm_of(self, node: int) -> float:
-        return self._norms[self._rows[node]] if self.params.metric == "cosine" else 1.0
-
-    def _q_norm(self, q: np.ndarray) -> float:
-        if self.params.metric != "cosine":
-            return 1.0
-        q_norm = float(np.linalg.norm(q))
-        if q_norm == 0.0:
-            raise ValueError("cosine distance undefined for a zero query")
-        return q_norm
-
     def _search_layer(
-        self, q: np.ndarray, q_norm: float, entry_points: list[int], ef: int, layer: int
+        self, q: np.ndarray, entry_points: list[int], ef: int, layer: int
     ) -> list[tuple[float, int]]:
         """Best-first beam of width ef; returns (dist, node) ascending."""
         visited = set(entry_points)
-        dists = self._dist_many(q, q_norm, entry_points)
+        dists = self._dist_many(q, entry_points)
         candidates = [(float(d), n) for d, n in zip(dists, entry_points)]
         heapq.heapify(candidates)
         best = [(-d, n) for d, n in candidates]
@@ -177,7 +136,7 @@ class AnnIndex:
             if not fresh:
                 continue
             visited.update(fresh)
-            for dist, nb in zip(self._dist_many(q, q_norm, fresh), fresh):
+            for dist, nb in zip(self._dist_many(q, fresh), fresh):
                 dist = float(dist)
                 if len(best) < ef or dist < -best[0][0]:
                     heapq.heappush(candidates, (dist, nb))
@@ -206,7 +165,7 @@ class AnnIndex:
                 continue
             selected.append(node)
             if len(selected) < m and i + 1 < len(nodes):
-                to_rest = self._dist_many(self._vector(node), self._norm_of(node), nodes[i + 1:])
+                to_rest = self._dist_many(self._vector(node), nodes[i + 1:])
                 np.minimum(nearest[i + 1:], to_rest, out=nearest[i + 1:])
         return selected + pruned[: m - len(selected)]
 
@@ -223,12 +182,11 @@ class AnnIndex:
         if self.entry < 0:
             self.entry, self.top_level = node, level
             return
-        q_norm = self._norm_of(node)
         eps = [self.entry]
         for layer in range(self.top_level, level, -1):
-            eps = [self._search_layer(vec, q_norm, eps, 1, layer)[0][1]]
+            eps = [self._search_layer(vec, eps, 1, layer)[0][1]]
         for layer in range(min(self.top_level, level), -1, -1):
-            found = self._search_layer(vec, q_norm, eps, self.params.ef_construction, layer)
+            found = self._search_layer(vec, eps, self.params.ef_construction, layer)
             neighbors = self._select_neighbors(found, self.params.m)
             self.graph[node][layer] = list(neighbors)
             cap = self.params.max_degree(layer)
@@ -236,7 +194,7 @@ class AnnIndex:
                 links = self.graph[nb][layer]
                 links.append(node)
                 if len(links) > cap:
-                    dists = self._dist_many(self._vector(nb), self._norm_of(nb), links)
+                    dists = self._dist_many(self._vector(nb), links)
                     ranked = sorted(zip(dists.tolist(), links))
                     self.graph[nb][layer] = self._select_neighbors(ranked, cap)
             eps = [n for _, n in found]
@@ -261,11 +219,10 @@ class AnnIndex:
         if q.shape != (self.dim,):
             raise ValueError(f"query has shape {q.shape}, index dim is {self.dim}")
         ef = max(ef_search if ef_search is not None else self.params.ef_search, k)
-        q_norm = self._q_norm(q)
         eps = [self.entry]
         for layer in range(self.top_level, 0, -1):
-            eps = [self._search_layer(q, q_norm, eps, 1, layer)[0][1]]
-        found = self._search_layer(q, q_norm, eps, ef, 0)
+            eps = [self._search_layer(q, eps, 1, layer)[0][1]]
+        found = self._search_layer(q, eps, ef, 0)
         found.sort(key=lambda pair: (pair[0], self.ids[pair[1]]))
         return [(self.ids[n], float(d)) for d, n in found[:k]]
 

@@ -66,7 +66,7 @@ from .integrate import (
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "ec-annotation-bundle"
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 
 MANIFEST_FILE = "manifest.json"
 RECORDS_FILE = "records.tsv"
@@ -102,14 +102,12 @@ class BundleParams:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "BundleParams":
-        gate = dict(payload["gate"])
-        gate["ann"] = AnnParams(**gate["ann"])
         counts = dict(payload["counts"])
         ranker = dict(payload["ranker"])
         ranker["ann"] = AnnParams(**ranker["ann"])
         return cls(
             max_len=int(payload["max_len"]),
-            gate=EnzymeGateParams(**gate),
+            gate=EnzymeGateParams(**payload["gate"]),
             counts=CountModelParams(
                 sp=GbdtParams(**counts["sp"]), mp=GbdtParams(**counts["mp"])
             ),
@@ -345,7 +343,10 @@ class Annotator:
         manifest_path = directory / MANIFEST_FILE
         if not manifest_path.is_file():
             raise BundleError(f"no {MANIFEST_FILE} in {directory}")
-        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        except ValueError as exc:
+            raise BundleError(f"{MANIFEST_FILE} is not valid JSON: {exc}") from exc
         if (not isinstance(manifest, dict)
                 or manifest.get("format") != BUNDLE_FORMAT
                 or manifest.get("version") != BUNDLE_VERSION):
@@ -366,8 +367,13 @@ class Annotator:
                 raise BundleError(
                     f"bundle artifact corrupt: {name} digest {got[:12]}… != manifest"
                 )
-        params = BundleParams.from_dict(manifest["params"])
-        policy = IntegrationPolicy.from_dict(manifest["policy"])
+        try:
+            params = BundleParams.from_dict(manifest["params"])
+            policy = IntegrationPolicy.from_dict(manifest["policy"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleError(
+                f"{MANIFEST_FILE}: bad params or policy: {type(exc).__name__}: {exc}"
+            ) from exc
         records, rejects = parse_flatfile(directory / RECORDS_FILE)
         if rejects:
             raise BundleError(f"bundle records file has {len(rejects)} bad rows")

@@ -9,7 +9,6 @@ reproduce identical manifests.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os

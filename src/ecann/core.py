@@ -12,7 +12,7 @@ import logging
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path

@@ -15,7 +15,7 @@ from __future__ import annotations
 import gzip
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Callable, Optional, Sequence

@@ -230,7 +230,6 @@ def greedy_tune(
     outputs_by_id: Mapping[str, AgentOutputs],
     hits_by_id: Mapping[str, Optional[Hit]],
     grid: PolicyGrid = PolicyGrid(),
-    mode: RankingMode = RankingMode.PREDICTION,
 ) -> TuneResult:
     """Pick the grid policy maximizing validation micro EC F1; ties keep the
     earlier one.
@@ -249,8 +248,7 @@ def greedy_tune(
 
     def objective(policy: IntegrationPolicy) -> float:
         preds = [
-            integrate(rec.id, outputs_by_id[rec.id], hits_by_id.get(rec.id),
-                      policy, mode)
+            integrate(rec.id, outputs_by_id[rec.id], hits_by_id.get(rec.id), policy)
             for rec in validation
         ]
         return micro_ec_f1(preds, validation)

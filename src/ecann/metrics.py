@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .core import (
-    ECNumber,
     LabelDictionary,
     MAX_FUNCTIONS,
     Prediction,

@@ -27,7 +27,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
-from .agents import RankingMode
 from .bundle import Annotator, annotate_to_tsv
 from .dataset import parse_fasta
 
@@ -175,14 +174,12 @@ class AnnotationService:
         annotator: Annotator,
         store: JobStore,
         workers: Optional[int] = None,
-        mode: RankingMode = RankingMode.PREDICTION,
         ttl_seconds: Optional[float] = None,
     ):
         if ttl_seconds is not None and ttl_seconds < 0:
             raise ServiceError("ttl_seconds must be >= 0")
         self.annotator = annotator
         self.store = store
-        self.mode = mode
         self.ttl_seconds = ttl_seconds
         self._pool = ThreadPoolExecutor(
             max_workers=workers if workers else os.cpu_count() or 1,
@@ -219,7 +216,7 @@ class AnnotationService:
             return  # lost the race to another worker or a recovery pass
         try:
             pairs = parse_fasta(self.store.input_path(job_id))
-            tsv, n_failed = annotate_to_tsv(self.annotator, pairs, self.mode)
+            tsv, n_failed = annotate_to_tsv(self.annotator, pairs)
             if n_failed:
                 log.warning("job %s: %d row(s) failed", job_id, n_failed)
             self.store.transition(job_id, DONE, result=tsv.encode("utf-8"))

@@ -12,21 +12,19 @@ import random
 import threading
 import time
 import urllib.request
-from urllib.error import HTTPError
 
 import numpy as np
 import pytest
 
 from ecann.agents import CountModelParams, EcRankerParams
 from ecann.alignment import (
-    AlignmentParams,
     Hit,
     KmerIndex,
     banded_local_align,
     full_local_align,
 )
 from ecann.ann import AnnIndex, AnnParams, brute_force_knn
-from ecann.bundle import BundleParams, annotate_to_tsv, train_bundle
+from ecann.bundle import BundleParams, train_bundle
 from ecann.cli import EXIT_OK, main
 from ecann.core import (
     LabelDictionary,

@@ -15,7 +15,7 @@ from ecann.agents import (
     FunctionCountModel,
     MAX_RECOMMENDATIONS,
 )
-from ecann.ann import AnnFormatError, AnnIndex, AnnParams, brute_force_knn
+from ecann.ann import AnnFormatError, AnnIndex, AnnParams
 from ecann.core import (
     LabelDictionary,
     ProteinRecord,
@@ -70,7 +70,6 @@ class TestEnzymeGate:
     def test_separated_blobs_classify_perfectly(self):
         records, table, rng = _blob_gate()
         gate = EnzymeGate.train(records, table)
-        assert not gate.uses_index
         for _ in range(40):
             is_enzyme, conf = gate.predict(rng.normal(size=4) * 0.3 + 5.0)
             assert is_enzyme and conf > 0.5
@@ -97,22 +96,21 @@ class TestEnzymeGate:
         is_enzyme, conf = gate.predict(np.array([-9.0, 4.0]))
         assert is_enzyme is True and conf == 1.0
 
-    def test_ann_path_matches_brute_force_vote(self):
+    def test_exact_gate_matches_brute_force_vote(self):
         records, table, rng = _blob_gate(seed=1, n_per=300, dim=8)
-        indexed = EnzymeGate.train(
-            records, table,
-            EnzymeGateParams(exact_scan_limit=0, ann=AnnParams(m=12, seed=0)),
-        )
-        assert indexed.uses_index
+        gate = EnzymeGate.train(records, table)
         labels = {rec.id: rec.is_enzyme for rec in records}
+        ids = table.ids()
+        matrix = table.matrix(ids)
         for _ in range(500):
             q = rng.normal(size=8) * 4.0
-            got_label, got_conf = indexed.predict(q)
-            # independent oracle: exact neighbours + the documented vote rule
-            found = brute_force_knn(table, q, 5)
+            got_label, got_conf = gate.predict(q)
+            # independent oracle: a full sort of every distance + the documented vote rule
+            dists = np.linalg.norm(matrix - q, axis=1)
+            nearest = sorted(range(len(ids)), key=lambda i: (dists[i], ids[i]))[:5]
             weights = {False: 0.0, True: 0.0}
-            for rec_id, dist in found:
-                weights[labels[rec_id]] += 1.0 / dist
+            for i in nearest:
+                weights[labels[ids[i]]] += 1.0 / dists[i]
             want = weights[True] > weights[False]
             assert got_label == want
             assert got_conf == pytest.approx(

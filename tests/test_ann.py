@@ -31,21 +31,6 @@ class TestBruteForce:
         table = make_table(3, 4)
         assert len(brute_force_knn(table, np.zeros(4), k=10)) == 3
 
-    def test_cosine_differs_from_euclidean(self):
-        vectors = {
-            "far_same_dir": np.array([10.0, 0.0]),
-            "near_other_dir": np.array([0.0, 1.0]),
-        }
-        table = EmbeddingTable(tag="t", dim=2, vectors=vectors)
-        q = np.array([1.0, 0.0])
-        assert brute_force_knn(table, q, 1, metric="euclidean")[0][0] == "near_other_dir"
-        assert brute_force_knn(table, q, 1, metric="cosine")[0][0] == "far_same_dir"
-
-    def test_cosine_zero_vector_rejected(self):
-        table = EmbeddingTable(tag="t", dim=2, vectors={"A": np.zeros(2)})
-        with pytest.raises(ValueError, match="zero"):
-            brute_force_knn(table, np.ones(2), 1, metric="cosine")
-
     @pytest.mark.parametrize("n,dtype", [(1, np.float64), (7, np.float64), (7, np.float32)])
     def test_euclidean_is_exact_and_leaves_the_table_alone(self, n, dtype):
         # The distances must equal the plain formula bit for bit, and the
@@ -63,31 +48,24 @@ class TestBruteForce:
         for rid, vec in vectors.items():
             assert vec.dtype == dtype and np.array_equal(vec, before[rid])
 
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_makes_at_most_one_table_sized_temporary(self, metric):
+    def test_makes_at_most_one_table_sized_temporary(self):
         table = make_table(2000, 64, seed=3)
         q = np.random.default_rng(4).normal(size=64)
-        brute_force_knn(table, q, 5, metric)  # warm up lazily allocated state
+        brute_force_knn(table, q, 5)  # warm up lazily allocated state
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            brute_force_knn(table, q, 5, metric)
+            brute_force_knn(table, q, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - base < 1.5 * table.matrix().nbytes
 
 
-def _sorted_knn(table, query, k, metric):
+def _sorted_knn(table, query, k):
     """The full-sort reference: every row ranked by (distance, id)."""
-    matrix = table.matrix()
-    if metric == "euclidean":
-        diff = matrix - query
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    else:
-        norms = np.linalg.norm(matrix, axis=1)
-        dists = 1.0 - (matrix @ query) / (norms * float(np.linalg.norm(query)))
+    diff = table.matrix() - query
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     ids = table.ids()
     order = sorted(range(len(ids)), key=lambda i: (dists[i], ids[i]))[:k]
     return [(ids[i], float(dists[i])) for i in order]
@@ -107,15 +85,13 @@ def test_brute_force_matches_a_full_sort_under_ties(data):
     table = EmbeddingTable.from_rows("t", names, np.array(rows))
     query = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
     k = data.draw(st.integers(1, n + 2))
-    metric = data.draw(st.sampled_from(["euclidean", "cosine"]))
-    assert brute_force_knn(table, query, k, metric) == _sorted_knn(table, query, k, metric)
+    assert brute_force_knn(table, query, k) == _sorted_knn(table, query, k)
 
 
 class TestAnnParams:
     def test_defaults(self):
         params = AnnParams()
         assert (params.m, params.ef_construction, params.ef_search) == (100, 300, 300)
-        assert params.metric == "euclidean"
 
     def test_level_scale_is_inverse_log_m(self):
         assert AnnParams(m=16).level_scale == pytest.approx(1 / np.log(16))
@@ -130,7 +106,7 @@ class TestAnnParams:
         with pytest.raises(ValueError):
             AnnParams(m=1)
         with pytest.raises(ValueError):
-            AnnParams(metric="manhattan")
+            AnnParams(ef_search=0)
 
 
 class TestBuildAndSearch:
@@ -201,16 +177,6 @@ class TestBuildAndSearch:
         recalls = [recall(ef) for ef in (10, 40, 160)]
         assert recalls[0] <= recalls[1] <= recalls[2]
 
-    def test_cosine_metric_search(self):
-        rng = np.random.default_rng(8)
-        vectors = {f"P{i}": rng.normal(size=6) + 0.1 for i in range(80)}
-        table = EmbeddingTable(tag="t", dim=6, vectors=vectors)
-        index = AnnIndex.build(
-            table, AnnParams(m=8, ef_construction=80, ef_search=80, metric="cosine")
-        )
-        q = rng.normal(size=6)
-        assert index.search(q, 3) == brute_force_knn(table, q, 3, metric="cosine")
-
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -247,19 +213,6 @@ class TestSerialization:
             assert loaded.search(q, 8) == index.search(q, 8)
         loaded.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_cosine_round_trip_keeps_every_distance(self, tmp_path):
-        # Cosine distances divide by stored row norms: a built and a loaded
-        # index must take them the same way, or distances differ in the last bit.
-        table = make_table(300, 32, seed=11)
-        params = AnnParams(m=8, ef_construction=60, ef_search=60, metric="cosine", seed=1)
-        index = AnnIndex.build(table, params)
-        index.save(tmp_path / "a.idx")
-        loaded = AnnIndex.load(tmp_path / "a.idx", table, params)
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            q = rng.normal(size=32)
-            assert loaded.search(q, 8) == index.search(q, 8)
 
     def test_load_validates_degree_bounds(self, tmp_path):
         table = make_table(30, 4, seed=13)
@@ -330,14 +283,6 @@ class TestSerialization:
         assert loaded.ids == index.ids and loaded.search(q, 5) == index.search(q, 5)
         with pytest.raises(AnnFormatError, match="holds 12 nodes, not the 10 points"):
             AnnIndex.load(tmp_path / "a.idx", table, params)
-
-    def test_cosine_checks_only_indexed_rows_for_zero(self):
-        table = EmbeddingTable.from_rows("t", ["Z", "A", "B"], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cosine = AnnParams(m=2, metric="cosine")
-        index = AnnIndex.build(table, cosine, points=[("A", "A"), ("B", "B")])
-        assert [rid for rid, _ in index.search(np.array([1.0, 0.1]), 2)] == ["A", "B"]
-        with pytest.raises(ValueError, match="zero"):
-            AnnIndex.build(table, cosine)
 
 
 _FLIP_TABLE = make_table(30, 4, seed=15)

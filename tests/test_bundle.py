@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -324,14 +325,15 @@ class TestPersistence:
         with pytest.raises(BundleError, match="unrecognized bundle format"):
             Annotator.load(target)
 
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [3, 4, 5])
     def test_older_bundle_version_is_refused(self, saved_dir, tmp_path, version):
         # version 3 stored a one-hot table as float64 rows and each ranker point's
-        # label; version 4 stored the labels, ranker points and parameters twice
+        # label; version 4 stored the labels, ranker points and parameters twice;
+        # version 5 stored the gate's graph-index settings and an ANN metric
         target = tmp_path / f"v{version}"
         target.mkdir()
         manifest = json.loads((saved_dir / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         (target / MANIFEST_FILE).write_text(json.dumps(dict(manifest, version=version)))
         with pytest.raises(BundleError, match="unrecognized bundle format"):
             Annotator.load(target)
@@ -397,6 +399,27 @@ class TestPersistence:
         del manifest["params"]
         (target / MANIFEST_FILE).write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match=r"lacks \['params'\]"):
+            Annotator.load(target)
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m["params"]["gate"].update(exact_scan_limit=50_000),
+        lambda m: m.update(params=list(m["params"].values())),
+        lambda m: m["params"].pop("gate"),
+        lambda m: m["policy"].update(precedence=["alignment", "oracle"]),
+        None,  # not JSON at all
+    ], ids=["unknown-gate-key", "params-as-list", "missing-gate", "unknown-route", "invalid-json"])
+    def test_damaged_manifest_is_a_bundle_error(self, saved_dir, tmp_path, damage):
+        # the artifact digests do not cover the manifest, so its own damage is checked
+        target = tmp_path / "damaged"
+        shutil.copytree(saved_dir, target)
+        manifest = json.loads((target / MANIFEST_FILE).read_text())
+        if damage is None:
+            text = json.dumps(manifest)[:-1]
+        else:
+            damage(manifest)
+            text = json.dumps(manifest)
+        (target / MANIFEST_FILE).write_text(text)
+        with pytest.raises(BundleError, match=MANIFEST_FILE):
             Annotator.load(target)
 
     def test_loading_a_non_bundle_directory_fails(self, tmp_path):

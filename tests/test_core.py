@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from ecann.core import (
     AMINO_ACIDS,
     CONTAINER_MAGIC,
-    ECNumber,
     ECParseError,
     LabelDictionary,
     Prediction,

@@ -12,7 +12,8 @@ method ``Class.method`` is referenced only as an attribute ``.method`` or
 as the string ``"Class.method"``: a word that happens to equal a method's
 name is no caller.  ``__all__`` lists do not count.
 
-A second guard resolves every call target the traced benchmark wraps.
+A second guard resolves every call target the traced benchmark wraps, and
+a third finds module-level imports that their module never uses.
 """
 import ast
 import importlib
@@ -34,7 +35,6 @@ ALLOWED = {
     "LinearModel.dense_weights": "oracle view of the sparse weights in SVM tests",
     "Tree.is_stump": "oracle for the stump-only trees in GBDT tests",
     "GbdtModel.predict_proba": "oracle for the softmax in GBDT tests",
-    "EnzymeGate.uses_index": "shows which neighbour search the gate tests ran",
 }
 
 
@@ -48,14 +48,19 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return found
 
 
+def _is_all(node: ast.AST) -> bool:
+    """Whether ``node`` assigns ``__all__``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
 def _references(tree: ast.AST, exclude: ast.AST | None = None) -> set[str]:
     """Names as ``name``, attributes as ``.attr``, string words as ``word`` and
     each dotted pair in a string as ``A.b``."""
     skipped = {id(sub) for sub in ast.walk(exclude)} if exclude is not None else set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all(node):
             skipped.update(id(sub) for sub in ast.walk(node.value))
     skipped |= _docstrings(tree)
     names: set[str] = set()
@@ -148,3 +153,31 @@ def test_every_perfbench_call_target_resolves():
         except (ImportError, AttributeError, KeyError):
             missing.append(f"{target.module}.{target.attr}")
     assert targets and not missing, f"perfbench targets that no longer exist: {missing}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports that it never uses.  A
+    name is used when it appears as a name (an attribute's base included) or
+    as an ``__all__`` entry; ``from __future__`` imports are exempt."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in filter(_is_all, tree.body):
+        used.update(c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # perfbench is left out: it changes only together with the benchmark.
+    paths = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}: {name}"
+              for path, tree in _parse(paths).items() for name in _unused_imports(tree)]
+    assert not unused, "unused imports: " + ", ".join(unused)
